@@ -71,17 +71,13 @@ let force_micro () = Pool.Once.force micro
    the kernels below measure steady-state simulation only, matching how
    the experiment harness memoizes the same bundle per program. *)
 let micro_conv_art =
-  Pool.Once.make (fun () ->
-      Bisa_timing.Pipeline.Conv.prepare ~exec:Bisa_sim.Compile.Compiled
-        (force_micro ()).conv)
+  Pool.Once.make (fun () -> Bisa_timing.Pipeline.Conv.prepare (force_micro ()).conv)
 
 let micro_block_art =
-  Pool.Once.make (fun () ->
-      Bisa_timing.Pipeline.Block.prepare ~exec:Bisa_sim.Compile.Compiled
-        (force_micro ()).block)
+  Pool.Once.make (fun () -> Bisa_timing.Pipeline.Block.prepare (force_micro ()).block)
 
-(* The compiled-exec kernels time the raw threaded code directly; the
-   artifact always carries it because [prepare] ran under [Compiled]. *)
+(* The compiled-exec kernels time the raw threaded code directly; a
+   prepared artifact always carries it. *)
 let micro_conv_code () =
   match Bisa_timing.Pipeline.Conv.Artifact.code (Pool.Once.force micro_conv_art) with
   | Some c -> c
@@ -468,7 +464,7 @@ let run_stream () =
     (* The artifact is prepared (verified, predecoded, compiled) outside
        the timed region; the timed region is steady-state simulation
        only. *)
-    let art = P.prepare ~exec:Bisa_sim.Compile.Compiled c.conv in
+    let art = P.prepare c.conv in
     let s = P.session_artifact cfg art in
     P.set_out_cap s 1024;
     let t0 = Unix.gettimeofday () in

@@ -114,13 +114,16 @@ let verify socket input scale =
       (if List.length diags = 1 then "" else "s")
   | _ -> Diag.fail ~component "unexpected response to verify"
 
-let sim_request ?scale input isa functional exec cfg show_output =
+(* Client requests always ask for the threaded-code executor, the one
+   production backend; the daemon still honours the wire's [exec]
+   field. *)
+let sim_request ?scale input isa functional cfg show_output =
   Proto.Simulate
     {
       src = load_src ?scale input;
       isa;
       mode = (if functional then Proto.Functional else Proto.Timing);
-      exec;
+      exec = Bisa_sim.Compile.Compiled;
       cfg;
       show_output;
     }
@@ -133,15 +136,15 @@ let print_sim = function
     print_string stdout
   | _ -> Diag.fail ~component "unexpected response to simulate"
 
-let sim socket input isa functional exec cfg show_output scale =
+let sim socket input isa functional cfg show_output scale =
   Driver.guard ~component @@ fun () ->
-  let req = sim_request ?scale input isa functional exec cfg show_output in
+  let req = sim_request ?scale input isa functional cfg show_output in
   print_sim (expect_ok (Client.one_shot socket req));
   `Ok ()
 
-let cell socket bench isa exec cfg scale =
+let cell socket bench isa cfg scale =
   Driver.guard ~component @@ fun () ->
-  let req = Proto.Cell { bench; scale; isa; exec; cfg } in
+  let req = Proto.Cell { bench; scale; isa; exec = Bisa_sim.Compile.Compiled; cfg } in
   match expect_ok (Client.one_shot socket req) with
   | Proto.Cell_done { summary; prog_hash = _; cached = _ } ->
     print_endline summary;
@@ -261,7 +264,7 @@ let rec rm_rf path =
    shutdown — and require the simulate stdout to match [expect] (a file
    captured from the real one-shot CLI) byte for byte, cold and
    cached. *)
-let selftest input isa functional exec cfg show_output scale jobs expect =
+let selftest input isa functional cfg show_output scale jobs expect =
   Driver.guard ~component @@ fun () ->
   let socket = fresh_tmp "bisad-selftest" ^ ".sock" in
   let pid = fork_server ~socket ~jobs ~spool:None ~max_inflight:64 () in
@@ -287,7 +290,7 @@ let selftest input isa functional exec cfg show_output scale jobs expect =
            with
           | Proto.Binary { bytes; _ } -> check "compile" (String.length bytes > 0)
           | _ -> check "compile" false);
-          let req = sim_request ?scale input isa functional exec cfg show_output in
+          let req = sim_request ?scale input isa functional cfg show_output in
           let cold =
             match expect_ok (Client.call fd req) with
             | Proto.Sim { stdout; cached; _ } ->
@@ -378,7 +381,7 @@ let soak requests programs jobs kill keep =
         src = Proto.Source { src = srcs.(i mod programs); libs = [] };
         isa = (if i mod 2 = 0 then Proto.Block else Proto.Conv);
         mode = Proto.Timing;
-        exec = Bisa_sim.Compile.Interp;
+        exec = Bisa_sim.Compile.Compiled;
         cfg = Proto.default_sim_cfg;
         show_output = true;
       }
@@ -646,7 +649,7 @@ let () =
     doc_cmd "sim" "Simulate through the daemon (byte-identical to bisasim)."
       Term.(
         ret
-          (const sim $ socket $ input $ Args.isa $ functional $ Args.exec
+          (const sim $ socket $ input $ Args.isa $ functional
          $ Args.sim_cfg $ show_output $ Args.scale))
   in
   let cell_cmd =
@@ -658,7 +661,7 @@ let () =
     in
     doc_cmd "cell" "Run one experiment cell through the daemon's caches."
       Term.(
-        ret (const cell $ socket $ bench $ Args.isa $ Args.exec $ Args.sim_cfg $ Args.scale))
+        ret (const cell $ socket $ bench $ Args.isa $ Args.sim_cfg $ Args.scale))
   in
   let selftest_cmd =
     let expect =
@@ -675,7 +678,7 @@ let () =
        shutdown; diff against the one-shot CLI's bytes."
       Term.(
         ret
-          (const selftest $ input $ Args.isa $ functional $ Args.exec
+          (const selftest $ input $ Args.isa $ functional
          $ Args.sim_cfg $ show_output $ Args.scale $ Args.jobs $ expect))
   in
   let soak_cmd =

@@ -41,7 +41,7 @@ let reject what diags =
     what (List.length diags)
     (if List.length diags = 1 then "" else "s")
 
-let run input isa functional exec (sim_cfg : Proto.sim_cfg) show_output scale
+let run input isa functional (sim_cfg : Proto.sim_cfg) show_output scale
     trace_out trace_sample trace_validate timeline verify_only no_verify =
  Driver.guard ~component:"bisasim" @@ fun () ->
   (match sim_cfg.out_cap with
@@ -89,40 +89,31 @@ let run input isa functional exec (sim_cfg : Proto.sim_cfg) show_output scale
   let budget = sim_cfg.budget in
   let out_cap = sim_cfg.out_cap in
   if functional then begin
-    (* The --exec backends drive the identical executor state, so output,
-       counts and traps below read the same either way.  Verification was
-       discharged (or explicitly waived) above, hence trusted compiles. *)
+    (* The threaded-code executor mutates the interpreter's own state
+       record, so output, counts and traps read through it.  Verification
+       was discharged (or explicitly waived) above, hence trusted
+       compiles. *)
     let out, n, trap =
       match isa with
       | Proto.Conv ->
         let module E = Bisa_sim.Conv_exec in
+        let module C = Bisa_sim.Compile.Conv in
         let t = E.create (pick conv_prog "conventional") in
         E.set_budget t budget;
         Option.iter (E.set_out_cap t) out_cap;
-        (match exec with
-        | Bisa_sim.Compile.Interp ->
-          let rec go () = match E.step t with Some _ -> go () | None -> () in
-          go ()
-        | Bisa_sim.Compile.Compiled ->
-          let module C = Bisa_sim.Compile.Conv in
-          let ce = C.bind (C.compile_trusted t.prog) t in
-          let rec go () = match C.step ce with Some _ -> go () | None -> () in
-          go ());
+        let ce = C.bind (C.compile_trusted t.prog) t in
+        let rec go () = match C.step ce with Some _ -> go () | None -> () in
+        go ();
         (E.output t, E.dyn_insns t, Option.map E.machine_trap_diag (E.machine_trap t))
       | Proto.Block ->
         let module E = Bisa_sim.Block_exec in
+        let module C = Bisa_sim.Compile.Block in
         let t = E.create (pick block_prog "block-structured") in
         E.set_budget t budget;
         Option.iter (E.set_out_cap t) out_cap;
-        (match exec with
-        | Bisa_sim.Compile.Interp ->
-          let rec go () = match E.step t with Some _ -> go () | None -> () in
-          go ()
-        | Bisa_sim.Compile.Compiled ->
-          let module C = Bisa_sim.Compile.Block in
-          let ce = C.bind (C.compile_trusted t.prog) t in
-          let rec go () = match C.step ce with Some _ -> go () | None -> () in
-          go ());
+        let ce = C.bind (C.compile_trusted t.prog) t in
+        let rec go () = match C.step ce with Some _ -> go () | None -> () in
+        go ();
         (E.output t, E.retired_ops t, Option.map E.machine_trap_diag (E.machine_trap t))
     in
     Option.iter (fun d -> prerr_endline (Bisa_base.Diag.render d)) trap;
@@ -138,9 +129,8 @@ let run input isa functional exec (sim_cfg : Proto.sim_cfg) show_output scale
        discharged (or waived) above, so tables are built trusted. *)
     let (Pipeline.Packed ((module P), _) as packed) =
       match isa with
-      | Proto.Conv -> Pipeline.pack_conv_trusted ~exec (pick conv_prog "conventional")
-      | Proto.Block ->
-        Pipeline.pack_block_trusted ~exec (pick block_prog "block-structured")
+      | Proto.Conv -> Pipeline.pack_conv_trusted (pick conv_prog "conventional")
+      | Proto.Block -> Pipeline.pack_block_trusted (pick block_prog "block-structured")
     in
     let recorder =
       if trace_out <> None || timeline then
@@ -229,7 +219,7 @@ let () =
   let term =
     Term.(
       ret
-        (const run $ input $ Args.isa $ functional $ Args.exec $ Args.sim_cfg
+        (const run $ input $ Args.isa $ functional $ Args.sim_cfg
        $ show_output $ Args.scale $ Args.trace_out $ Args.trace_sample
        $ trace_validate $ timeline $ verify_only $ no_verify))
   in

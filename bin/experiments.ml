@@ -8,7 +8,7 @@
    cell exceeding its budget degrades only its own reports; everything
    else still prints, and the run exits nonzero. *)
 
-let run only scale paper_caches with_ablations out verbose jobs exec resume
+let run only scale paper_caches with_ablations out verbose jobs resume
     checkpoint_every timeout =
  Bisa_cli.Driver.guard ~component:"experiments" @@ fun () ->
   Bisa_experiments.Harness.verbose := verbose;
@@ -21,7 +21,7 @@ let run only scale paper_caches with_ablations out verbose jobs exec resume
       resume
   in
   let h =
-    Bisa_experiments.Harness.create ?scale ~paper_caches ~pool ~exec ?campaign ()
+    Bisa_experiments.Harness.create ?scale ~paper_caches ~pool ?campaign ()
   in
   (* Each report is generated independently so one timed-out cell spoils
      only the reports that need it. *)
@@ -134,7 +134,7 @@ let () =
     Term.(
       ret
         (const run $ only $ Bisa_cli.Args.scale $ paper_caches $ with_ablations $ out
-       $ verbose $ Bisa_cli.Args.jobs $ Bisa_cli.Args.exec $ Bisa_cli.Args.resume
+       $ verbose $ Bisa_cli.Args.jobs $ Bisa_cli.Args.resume
        $ Bisa_cli.Args.checkpoint_every $ Bisa_cli.Args.timeout))
   in
   let info = Cmd.info "experiments" ~doc:"Regenerate the paper's tables and figures" in

@@ -9,6 +9,12 @@
 
    Run with: dune exec examples/future_work.exe *)
 
+module P = Bisa_timing.Pipeline
+
+(* Prepare a program (verify, predecode, compile to threaded code) and
+   time it. *)
+let time_block cfg prog = fst (P.Block.run_artifact cfg (P.Block.prepare prog))
+
 let () =
   let w = Bisa_workloads.Workloads.find "gcc" in
   let src = Bisa_workloads.Workloads.source w in
@@ -23,20 +29,21 @@ let () =
 
   (* The paper's baselines. *)
   let base = Bisa_compiler.Compiler.compile ~library_funcs:w.library_funcs src in
-  show "conventional" (Bisa_timing.Conv_pipeline.run cfg base.conv) "";
-  let m_base = Bisa_timing.Block_pipeline.run cfg base.block in
+  let conv = P.Conv.prepare base.conv in
+  show "conventional" (fst (P.Conv.run_artifact cfg conv)) "";
+  let m_base = time_block cfg base.block in
   show "block-structured (paper)" m_base "";
   print_newline ();
 
   (* Section 6, proposal by proposal. *)
   let pred = Bisa_compiler.Compiler.compile ~ifconvert:true ~library_funcs:w.library_funcs src in
-  show "  + predicated execution" (Bisa_timing.Block_pipeline.run cfg pred.block) "";
+  show "  + predicated execution" (time_block cfg pred.block) "";
 
   let inl = Bisa_compiler.Compiler.compile ~inline:true ~library_funcs:w.library_funcs src in
-  show "  + inlining" (Bisa_timing.Block_pipeline.run cfg inl.block) "";
+  show "  + inlining" (time_block cfg inl.block) "";
 
   let prof = Bisa_experiments.Profile_guided.compile w in
-  let m_prof = Bisa_timing.Block_pipeline.run cfg prof.block in
+  let m_prof = time_block cfg prof.block in
   show "  + profile-guided enlargement" m_prof
     (Printf.sprintf "  (code %d -> %d bytes)" base.block.code_bytes prof.block.code_bytes);
 
@@ -44,7 +51,7 @@ let () =
   let tc_cfg =
     { cfg with trace_cache = Some Bisa_uarch.Trace_cache.default_config }
   in
-  let m_tc = Bisa_timing.Conv_pipeline.run tc_cfg base.conv in
+  let m_tc = fst (P.Conv.run_artifact tc_cfg conv) in
   show "conventional + trace cache" m_tc
     (Printf.sprintf "  (%d trace hits)" m_tc.tc_hits);
 
@@ -53,4 +60,4 @@ let () =
     Bisa_compiler.Compiler.compile ~inline:true ~ifconvert:true
       ~library_funcs:w.library_funcs src
   in
-  show "block + predication + inlining" (Bisa_timing.Block_pipeline.run cfg all.block) ""
+  show "block + predication + inlining" (time_block cfg all.block) ""

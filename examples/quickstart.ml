@@ -53,8 +53,10 @@ let () =
 
   (* Timing: the paper's 16-wide core for both. *)
   let cfg = Bisa_timing.Config.default in
-  let mc = Bisa_timing.Conv_pipeline.run cfg compiled.conv in
-  let mb = Bisa_timing.Block_pipeline.run cfg compiled.block in
+  let mc, _ = Bisa_timing.Pipeline.Conv.run_artifact cfg (Bisa_timing.Pipeline.Conv.prepare compiled.conv) in
+  let mb, _ =
+    Bisa_timing.Pipeline.Block.run_artifact cfg (Bisa_timing.Pipeline.Block.prepare compiled.block)
+  in
   print_newline ();
   print_endline (Bisa_timing.Metrics.summary ~name:"conventional    " mc);
   print_endline (Bisa_timing.Metrics.summary ~name:"block-structured" mb);

@@ -123,12 +123,13 @@ let check_tri fmt ~budget img =
           ~functional:(fun () ->
             match go () with () -> `Halted | exception E.Runaway _ -> `Budgeted)
           ~timing:(fun () ->
-            match
-              Bisa_timing.Conv_pipeline.run
-                ~tables:(Bisa_timing.Predecode.of_conv w)
-                (timing_cfg budget) p
-            with
-            | (_ : Bisa_timing.Metrics.t) -> ()
+            let art =
+              Bisa_timing.Pipeline.Conv.bundle
+                ~code:(Bisa_sim.Compile.Conv.compile w)
+                ~tables:(Bisa_timing.Predecode.of_conv w) p
+            in
+            match Bisa_timing.Pipeline.Conv.run_artifact (timing_cfg budget) art with
+            | (_ : Bisa_timing.Metrics.t * Bisa_sim.Output.t) -> ()
             | exception E.Runaway _ -> ())
           ~trapped:(fun () -> E.machine_trap t <> None)
           "conv"
@@ -153,12 +154,13 @@ let check_tri fmt ~budget img =
           ~functional:(fun () ->
             match go () with () -> `Halted | exception E.Runaway _ -> `Budgeted)
           ~timing:(fun () ->
-            match
-              Bisa_timing.Block_pipeline.run
-                ~tables:(Bisa_timing.Predecode.of_block w)
-                (timing_cfg budget) p
-            with
-            | (_ : Bisa_timing.Metrics.t) -> ()
+            let art =
+              Bisa_timing.Pipeline.Block.bundle
+                ~code:(Bisa_sim.Compile.Block.compile w)
+                ~tables:(Bisa_timing.Predecode.of_block w) p
+            in
+            match Bisa_timing.Pipeline.Block.run_artifact (timing_cfg budget) art with
+            | (_ : Bisa_timing.Metrics.t * Bisa_sim.Output.t) -> ()
             | exception E.Runaway _ -> ())
           ~trapped:(fun () -> E.machine_trap t <> None)
           "block"

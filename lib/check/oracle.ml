@@ -39,6 +39,15 @@ let timing_cfg ?inject () =
     inject;
   }
 
+module Conv = Bisa_timing.Pipeline.Conv
+module Block = Bisa_timing.Pipeline.Block
+
+let conv_timing art = snd (Conv.run_artifact (timing_cfg ()) art)
+let block_timing art = snd (Block.run_artifact (timing_cfg ()) art)
+
+(* The interpreter legs: the functional interpreters, plus both timing
+   pipelines over code-less artifacts — the reference the threaded code
+   is held against. *)
 let default_engines () =
   [
     {
@@ -52,19 +61,22 @@ let default_engines () =
     {
       name = "conv-timing";
       run =
-        (fun c -> snd (Bisa_timing.Conv_pipeline.run_full (timing_cfg ()) c.Compiler.conv));
+        (fun c ->
+          let prog = c.Compiler.conv in
+          conv_timing (Conv.bundle ~tables:(Conv.predecode prog) prog));
     };
     {
       name = "block-timing";
       run =
         (fun c ->
-          snd (Bisa_timing.Block_pipeline.run_full (timing_cfg ()) c.Compiler.block));
+          let prog = c.Compiler.block in
+          block_timing (Block.bundle ~tables:(Block.predecode prog) prog));
     };
   ]
 
 (* The threaded-code legs: the compiled functional executors, plus both
-   timing pipelines re-run with the compiled backend underneath.  The
-   compiles go through the verifier (Pipeline.S.compile), so the witness
+   timing pipelines over fully prepared artifacts.  The compiles go
+   through the verifier ([compile] / [prepare]), so the witness
    discipline is exercised on every generated program too. *)
 let compiled_legs () =
   [
@@ -72,35 +84,18 @@ let compiled_legs () =
       name = "conv-compiled";
       run =
         (fun c ->
-          fst
-            (Bisa_sim.Compile.Conv.run ~budget:exec_budget
-               (Bisa_timing.Pipeline.Conv.compile c.Compiler.conv)));
+          fst (Bisa_sim.Compile.Conv.run ~budget:exec_budget (Conv.compile c.Compiler.conv)));
     };
     {
       name = "block-compiled";
       run =
         (fun c ->
-          fst
-            (Bisa_sim.Compile.Block.run ~budget:exec_budget
-               (Bisa_timing.Pipeline.Block.compile c.Compiler.block)));
+          fst (Bisa_sim.Compile.Block.run ~budget:exec_budget (Block.compile c.Compiler.block)));
     };
-    {
-      name = "conv-timing-compiled";
-      run =
-        (fun c ->
-          snd
-            (Bisa_timing.Conv_pipeline.run_full
-               ~code:(Bisa_timing.Pipeline.Conv.compile c.Compiler.conv)
-               (timing_cfg ()) c.Compiler.conv));
-    };
+    { name = "conv-timing-compiled"; run = (fun c -> conv_timing (Conv.prepare c.Compiler.conv)) };
     {
       name = "block-timing-compiled";
-      run =
-        (fun c ->
-          snd
-            (Bisa_timing.Block_pipeline.run_full
-               ~code:(Bisa_timing.Pipeline.Block.compile c.Compiler.block)
-               (timing_cfg ()) c.Compiler.block));
+      run = (fun c -> block_timing (Block.prepare c.Compiler.block));
     };
   ]
 
@@ -119,9 +114,7 @@ let first_divergence (c : Compiler.compiled) =
     let b = Conv_exec.create c.Compiler.conv in
     Conv_exec.set_budget a exec_budget;
     Conv_exec.set_budget b exec_budget;
-    let cb =
-      Bisa_sim.Compile.Conv.bind (Bisa_timing.Pipeline.Conv.compile c.Compiler.conv) b
-    in
+    let cb = Bisa_sim.Compile.Conv.bind (Conv.compile c.Compiler.conv) b in
     let rec go i =
       let pa = try Ok (Conv_exec.step a) with e -> Error (show_exn e) in
       let pb = try Ok (Bisa_sim.Compile.Conv.step cb) with e -> Error (show_exn e) in
@@ -145,11 +138,7 @@ let first_divergence (c : Compiler.compiled) =
     let b = Block_exec.create c.Compiler.block in
     Block_exec.set_budget a exec_budget;
     Block_exec.set_budget b exec_budget;
-    let cb =
-      Bisa_sim.Compile.Block.bind
-        (Bisa_timing.Pipeline.Block.compile c.Compiler.block)
-        b
-    in
+    let cb = Bisa_sim.Compile.Block.bind (Block.compile c.Compiler.block) b in
     let rec go i =
       let pa = try Ok (Block_exec.step a) with e -> Error (show_exn e) in
       let pb = try Ok (Bisa_sim.Compile.Block.step cb) with e -> Error (show_exn e) in

@@ -3,8 +3,8 @@
     One generated program is executed by the reference interpreter (the
     semantic ground truth) and by every engine: the conventional and
     block-structured functional executors plus both cycle-level timing
-    pipelines (whose functional results come from {!Bisa_timing.Conv_pipeline.run_full}
-    / {!Bisa_timing.Block_pipeline.run_full}).  All five must produce
+    pipelines (whose functional results come from
+    {!Bisa_timing.Pipeline.S.run_artifact}).  All of them must produce
     identical outputs and exit values, and the two ISAs' final data
     segments must match word-for-word.  On a finding, the fuzzer greedily
     shrinks to a (locally) minimal failing program. *)
@@ -12,15 +12,17 @@
 type engine = { name : string; run : Bisa_compiler.Compiler.compiled -> Bisa_sim.Output.t }
 
 val default_engines : unit -> engine list
-(** conv, block, conv-timing, block-timing (the timing pair runs with a
-    trace cache enabled to exercise that fetch path). *)
+(** conv, block, conv-timing, block-timing: the interpreter reference
+    leg.  The timing pair runs artifacts bundled without threaded code,
+    with a trace cache enabled to exercise that fetch path. *)
 
 val compiled_legs : unit -> engine list
 (** conv-compiled, block-compiled, conv-timing-compiled,
     block-timing-compiled: the threaded-code functional executors
     ({!Bisa_sim.Compile}), standalone and underneath both timing
-    pipelines.  Compilation goes through the verifier on every program
-    (witness discipline included in the differential surface). *)
+    pipelines (fully prepared artifacts, the production path).
+    Compilation goes through the verifier on every program (witness
+    discipline included in the differential surface). *)
 
 val compiled_engines : unit -> engine list
 (** [default_engines () @ compiled_legs ()] — the full eight-way oracle

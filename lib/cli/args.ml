@@ -61,18 +61,6 @@ let budget =
           "Operation budget: a run retiring more dynamic operations than this \
            exits with a runaway diagnostic instead of spinning forever.")
 
-let exec =
-  Arg.(
-    value
-    & opt (enum Bisa_sim.Compile.backends) Bisa_sim.Compile.Interp
-    & info [ "exec" ]
-        ~env:(env "BISA_EXEC" "Default for $(b,--exec).")
-        ~doc:
-          "Functional-executor backend: $(b,interp) (the dispatching \
-           interpreter, default) or $(b,compiled) (per-block threaded code).  \
-           The backends are differentially tested equivalent — outputs, \
-           metrics and checkpoints are identical; only wall-clock differs.")
-
 let trace_out =
   Arg.(
     value

@@ -28,11 +28,6 @@ val scale : int option Cmdliner.Term.t
 val budget : int Cmdliner.Term.t
 (** [--budget] / [BISA_BUDGET]: dynamic-operation runaway budget. *)
 
-val exec : Bisa_sim.Compile.backend Cmdliner.Term.t
-(** [--exec] / [BISA_EXEC]: functional-executor backend, [interp]
-    (default) or [compiled].  Equivalent by differential test; only
-    wall-clock differs. *)
-
 val trace_out : string option Cmdliner.Term.t
 (** [--trace-out] / [BISA_TRACE_OUT]: write a Chrome trace_event JSON
     file of pipeline events (open in Perfetto / [chrome://tracing]). *)

@@ -13,6 +13,11 @@ let default_subset = [ "m88ksim"; "perl"; "li" ]
 let scaled_16k = { Cache.size_bytes = Cache.kb 16; assoc = 4; line_bytes = 32 }
 let base_config = Config.with_icache (Some scaled_16k) Config.default
 
+(* Every ablation cell builds its own program variant: prepare it once
+   (verify, predecode, compile to threaded code) and time it. *)
+let run_block cfg prog =
+  fst (Bisa_timing.Pipeline.Block.run_artifact cfg (Bisa_timing.Pipeline.Block.prepare prog))
+
 let enlargement_variants =
   [
     ("default", Enlarge.default_config);
@@ -48,7 +53,7 @@ let enlargement_rules ?(workloads = default_subset) ?(pool = Pool.sequential) ()
       (fun (name, (label, cfg)) ->
         let w = Workloads.find name in
         let c = Workloads.compile ~enlarge:cfg w in
-        let m = Bisa_timing.Block_pipeline.run base_config c.block in
+        let m = run_block base_config c.block in
         (name, label, m, c.block.code_bytes))
       grid
   in
@@ -115,7 +120,7 @@ let history_policy ?(workloads = default_subset) ?(pool = Pool.sequential) () =
             Config.block_pred = { base_config.Config.block_pred with naive_history = naive };
           }
         in
-        (name, label, Bisa_timing.Block_pipeline.run cfg c.block))
+        (name, label, run_block cfg c.block))
       grid
   in
   let rows =

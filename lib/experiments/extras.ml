@@ -3,8 +3,22 @@ module Config = Bisa_timing.Config
 module Workloads = Bisa_workloads.Workloads
 module Cache = Bisa_uarch.Cache
 module Pool = Bisa_base.Pool
+module P = Bisa_timing.Pipeline
 
 let scaled_16k = { Cache.size_bytes = Cache.kb 16; assoc = 4; line_bytes = 32 }
+
+(* The studies prepare their own program variants as threaded code; two
+   of them also take [~reference], the code-less interpreter leg their
+   equivalence test compares against. *)
+let conv_artifact ~reference prog =
+  if reference then P.Conv.bundle ~tables:(P.Conv.predecode prog) prog else P.Conv.prepare prog
+
+let block_artifact ~reference prog =
+  if reference then P.Block.bundle ~tables:(P.Block.predecode prog) prog
+  else P.Block.prepare prog
+
+let run_conv cfg art = fst (P.Conv.run_artifact cfg art)
+let run_block cfg art = fst (P.Block.run_artifact cfg art)
 
 let scientific ?(pool = Pool.sequential) () =
   let w = Workloads.scientific in
@@ -15,8 +29,8 @@ let scientific ?(pool = Pool.sequential) () =
       Pool.map_list pool
         (fun f -> f ())
         [
-          (fun () -> Bisa_timing.Conv_pipeline.run cfg c.conv);
-          (fun () -> Bisa_timing.Block_pipeline.run cfg c.block);
+          (fun () -> run_conv cfg (P.Conv.prepare c.conv));
+          (fun () -> run_block cfg (P.Block.prepare c.block));
         ]
     with
     | [ mc; mb ] -> (mc, mb)
@@ -67,7 +81,7 @@ let scientific ?(pool = Pool.sequential) () =
   }
 
 let trace_cache_rivalry ?(workloads = [ "m88ksim"; "perl"; "li"; "compress" ])
-    ?(pool = Pool.sequential) () =
+    ?(reference = false) ?(pool = Pool.sequential) () =
   let base = Config.with_icache (Some scaled_16k) Config.default in
   let with_tc =
     { base with trace_cache = Some Bisa_uarch.Trace_cache.default_config }
@@ -90,9 +104,10 @@ let trace_cache_rivalry ?(workloads = [ "m88ksim"; "perl"; "li"; "compress" ])
       (fun name ->
         let w = Workloads.find name in
         let c = Workloads.compile w in
-        let mc = Bisa_timing.Conv_pipeline.run base c.conv in
-        let mt = Bisa_timing.Conv_pipeline.run with_tc c.conv in
-        let mb = Bisa_timing.Block_pipeline.run base c.block in
+        let conv = conv_artifact ~reference c.conv in
+        let mc = run_conv base conv in
+        let mt = run_conv with_tc conv in
+        let mb = run_block base (block_artifact ~reference c.block) in
         (name, mc, mt, mb))
       workloads
   in
@@ -132,8 +147,8 @@ let trace_cache_rivalry ?(workloads = [ "m88ksim"; "perl"; "li"; "compress" ])
         mean_tc mean_bsa;
   }
 
-let predication_study ?(workloads = [ "go"; "gcc"; "compress" ]) ?(pool = Pool.sequential)
-    () =
+let predication_study ?(workloads = [ "go"; "gcc"; "compress" ]) ?(reference = false)
+    ?(pool = Pool.sequential) () =
   let cfg = Config.with_icache (Some scaled_16k) Config.default in
   let t =
     Table.create
@@ -162,7 +177,7 @@ let predication_study ?(workloads = [ "go"; "gcc"; "compress" ]) ?(pool = Pool.s
         let c =
           Bisa_compiler.Compiler.compile ~ifconvert ~library_funcs:w.library_funcs src
         in
-        (name, label, Bisa_timing.Block_pipeline.run cfg c.block))
+        (name, label, run_block cfg (block_artifact ~reference c.block)))
       grid
   in
   let deltas =
@@ -234,7 +249,7 @@ let inlining_study ?(workloads = [ "li"; "gcc"; "vortex" ]) ?(pool = Pool.sequen
         let c =
           Bisa_compiler.Compiler.compile ~inline ~library_funcs:w.library_funcs src
         in
-        let m = Bisa_timing.Block_pipeline.run cfg c.block in
+        let m = run_block cfg (P.Block.prepare c.block) in
         (name, label, m, c.block.code_bytes))
       grid
   in

@@ -3,7 +3,12 @@
     [scientific] tests the paper's future-work claim (section 6): on
     FP-heavy scientific code — larger basic blocks, more predictable
     branches — the block-structured gain should exceed the SPECint
-    result. *)
+    result.
+
+    The studies below compile their own program variants and run them as
+    threaded code.  Where offered, [~reference:true] runs the same
+    programs on the dispatching interpreter instead — the equivalence
+    test's reference leg; the rendered report is identical either way. *)
 
 val scientific : ?pool:Bisa_base.Pool.t -> unit -> Figures.report
 
@@ -13,13 +18,23 @@ val prediction_parity : Harness.t -> Figures.report
     operations for both cores. *)
 
 val trace_cache_rivalry :
-  ?workloads:string list -> ?pool:Bisa_base.Pool.t -> unit -> Figures.report
+  ?workloads:string list ->
+  ?reference:bool ->
+  ?pool:Bisa_base.Pool.t ->
+  unit ->
+  Figures.report
 (** The paper's section-3 rival: a conventional core with a Rotenberg-style
     trace cache vs plain conventional vs block-structured — the run-time
-    and compile-time approaches to the same fetch problem, side by side. *)
+    and compile-time approaches to the same fetch problem, side by side.
+    One prepared conventional artifact serves both conventional
+    configurations. *)
 
 val predication_study :
-  ?workloads:string list -> ?pool:Bisa_base.Pool.t -> unit -> Figures.report
+  ?workloads:string list ->
+  ?reference:bool ->
+  ?pool:Bisa_base.Pool.t ->
+  unit ->
+  Figures.report
 (** Section 6's first proposal: if-conversion turns small branch hammocks
     into select operations, eliminating hard-to-predict branches and
     growing basic blocks for enlargement to merge further. *)

@@ -53,9 +53,15 @@ let table2 h =
   let counts =
     Pool.map_list (Harness.pool h)
       (fun (w : Workloads.t) ->
-        let c = Harness.compiled h w in
-        let _, n = Bisa_sim.Conv_exec.run c.conv () in
-        (w, n))
+        (* Stepped packet by packet on the memo's code: the run-to-halt
+           chains ([Compile.Conv.run]) would be built into the shared
+           code and stay live for the whole report. *)
+        let x = Bisa_sim.Conv_exec.create (Harness.compiled h w).conv in
+        let ce = Bisa_sim.Compile.Conv.bind (Harness.code_conv h w) x in
+        while Bisa_sim.Compile.Conv.step_into ce do
+          ()
+        done;
+        (w, Bisa_sim.Conv_exec.dyn_insns x))
       (Harness.benchmarks h)
   in
   List.iter

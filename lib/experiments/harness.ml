@@ -50,10 +50,6 @@ type t = {
   base : Config.t;
   sweep : (string * Cache.config) list;
   pool : Pool.t;
-  (* Which functional-executor backend every harness-routed timing run
-     uses.  Not part of the run-cache key: the backends are
-     differentially tested equivalent, so metrics do not depend on it. *)
-  exec : Bisa_sim.Compile.backend;
   lock : Mutex.t;  (* guards all tables (not the cells' contents) *)
   compiled_cache : (string, Bisa_compiler.Compiler.compiled cell) Hashtbl.t;
   run_cache : (string * string * cache_key, Bisa_timing.Metrics.t cell) Hashtbl.t;
@@ -75,8 +71,7 @@ type t = {
 
 let scaled_default = { Cache.size_bytes = Cache.kb 16; assoc = 4; line_bytes = 32 }
 
-let create ?scale ?(paper_caches = false) ?(pool = Pool.sequential)
-    ?(exec = Bisa_sim.Compile.Interp) ?campaign () =
+let create ?scale ?(paper_caches = false) ?(pool = Pool.sequential) ?campaign () =
   let default_icache, sweep =
     if paper_caches then
       ( Cache.config_64k,
@@ -95,7 +90,6 @@ let create ?scale ?(paper_caches = false) ?(pool = Pool.sequential)
     base = Config.with_icache (Some default_icache) Config.default;
     sweep;
     pool;
-    exec;
     lock = Mutex.create ();
     compiled_cache = Hashtbl.create 16;
     run_cache = Hashtbl.create 64;
@@ -109,7 +103,6 @@ let create ?scale ?(paper_caches = false) ?(pool = Pool.sequential)
   }
 
 let base_config t = t.base
-let exec_backend t = t.exec
 let campaign t = t.campaign
 let sweep_caches t = t.sweep
 let benchmarks _ = Workloads.all
@@ -197,33 +190,23 @@ let code_block t (w : Workloads.t) =
       ignore (predecoded_block t w);
       Bisa_timing.Pipeline.Block.compile_trusted (compiled t w).block)
 
-(* The artifact memo bundles the predecode and threaded-code memos (code
-   only under ~exec:Compiled) with the program's content hash; trust was
-   discharged by the predecode memo.  This is the single value every
-   timing run, campaign cell and checkpoint consumes. *)
+(* The artifact memo bundles the predecode and threaded-code memos with
+   the program's content hash; trust was discharged by the predecode
+   memo.  This is the single value every timing run, campaign cell and
+   checkpoint consumes. *)
 let artifact_conv t (w : Workloads.t) =
   memoize t t.art_conv_cache w.name
     ~label:("artifact:" ^ w.name ^ "/" ^ Bisa_timing.Pipeline.Conv.isa)
     ~compute:(fun () ->
       let tables = predecoded_conv t w in
-      let code =
-        match t.exec with
-        | Bisa_sim.Compile.Interp -> None
-        | Bisa_sim.Compile.Compiled -> Some (code_conv t w)
-      in
-      Bisa_timing.Pipeline.Conv.bundle ?code ~tables (compiled t w).conv)
+      Bisa_timing.Pipeline.Conv.bundle ~code:(code_conv t w) ~tables (compiled t w).conv)
 
 let artifact_block t (w : Workloads.t) =
   memoize t t.art_block_cache w.name
     ~label:("artifact:" ^ w.name ^ "/" ^ Bisa_timing.Pipeline.Block.isa)
     ~compute:(fun () ->
       let tables = predecoded_block t w in
-      let code =
-        match t.exec with
-        | Bisa_sim.Compile.Interp -> None
-        | Bisa_sim.Compile.Compiled -> Some (code_block t w)
-      in
-      Bisa_timing.Pipeline.Block.bundle ?code ~tables (compiled t w).block)
+      Bisa_timing.Pipeline.Block.bundle ~code:(code_block t w) ~tables (compiled t w).block)
 
 let key_of (cfg : Config.t) : cache_key =
   ( Option.map (fun (c : Cache.config) -> (c.size_bytes, c.assoc, c.line_bytes)) cfg.icache,

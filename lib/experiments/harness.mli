@@ -22,21 +22,16 @@ val create :
   ?scale:int ->
   ?paper_caches:bool ->
   ?pool:Bisa_base.Pool.t ->
-  ?exec:Bisa_sim.Compile.backend ->
   ?campaign:Campaign.t ->
   unit ->
   t
 (** [pool] (default {!Bisa_base.Pool.sequential}) is the worker pool the
     experiment modules fan work out on; pass one pool per CLI run.
-    [exec] (default [Interp]) selects the functional-executor backend
-    for every harness-routed timing run; under [Compiled], each program
-    is compiled to threaded code once and shared like the predecode
-    tables.  Metrics are backend-independent (the backends drive
-    identical executor state), so the run cache needs no exec key.
-    [campaign] makes every harness-routed timing run crash-safe and
-    resumable (see {!Campaign}); without it runs are in-memory only. *)
-
-val exec_backend : t -> Bisa_sim.Compile.backend
+    Every harness-routed timing run executes its program as threaded
+    code ({!Bisa_sim.Compile}), compiled once per program and shared
+    like the predecode tables.  [campaign] makes every harness-routed
+    timing run crash-safe and resumable (see {!Campaign}); without it
+    runs are in-memory only. *)
 
 val campaign : t -> Campaign.t option
 
@@ -67,21 +62,21 @@ val predecoded_block : t -> Bisa_workloads.Workloads.t -> Bisa_timing.Predecode.
 
 val code_conv : t -> Bisa_workloads.Workloads.t -> Bisa_timing.Pipeline.Conv.code
 (** The workload's threaded-code form ({!Bisa_sim.Compile}), built
-    exactly once and shared like the predecode tables.  Forces the
-    predecode memo first so verification is discharged before the
-    trusted compile.  Fires the compute hook with
-    ["compile-exec:<bench>/<isa>"]. *)
+    exactly once and shared like the predecode tables: every artifact
+    carries it, and {!Figures.table2} steps it to halt for the dynamic
+    instruction counts.  Forces the predecode memo first so verification
+    is discharged before the trusted compile.  Fires the compute hook
+    with ["compile-exec:<bench>/<isa>"]. *)
 
 val code_block : t -> Bisa_workloads.Workloads.t -> Bisa_timing.Pipeline.Block.code
 
 val artifact_conv :
   t -> Bisa_workloads.Workloads.t -> Bisa_timing.Pipeline.Conv.artifact
 (** The workload's prepared artifact bundle — program witness, memoized
-    predecode tables, threaded code (when the harness was created with
-    [~exec:Compiled]) and content hash — built exactly once and shared
-    like the tables it bundles.  Fires the compute hook with
-    ["artifact:<bench>/<isa>"].  This is the value every timing run,
-    campaign cell and checkpoint consumes. *)
+    predecode tables, memoized threaded code and content hash — built
+    exactly once and shared like the pieces it bundles.  Fires the
+    compute hook with ["artifact:<bench>/<isa>"].  This is the value
+    every timing run, campaign cell and checkpoint consumes. *)
 
 val artifact_block :
   t -> Bisa_workloads.Workloads.t -> Bisa_timing.Pipeline.Block.artifact
@@ -108,9 +103,11 @@ val run_block :
 
 val set_compute_hook : t -> (string -> unit) -> unit
 (** Observe cache misses: the hook fires exactly once per distinct cell,
-    with ["compile:<bench>"] or ["run:<bench>/<isa>"], before the
-    computation runs.  Used by the thread-safety tests; defaults to
-    [ignore]. *)
+    before the computation runs, with ["compile:<bench>"],
+    ["predecode:<bench>/<isa>"], ["compile-exec:<bench>/<isa>"],
+    ["artifact:<bench>/<isa>"] or ["run:<bench>/<isa>"].  Used by the
+    thread-safety tests and the benchmark's per-cell timings; defaults
+    to [ignore]. *)
 
 val verbose : bool ref
 (** When set, each cache miss logs a progress line to stderr.  Lines are

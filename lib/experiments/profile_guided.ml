@@ -101,7 +101,9 @@ let study ?(workloads = [ "gcc"; "go" ]) ?(pool = Bisa_base.Pool.sequential) () 
         let w = Workloads.find name in
         let c = if label = "default" then Workloads.compile w else compile w in
         (name, label, c.Bisa_compiler.Compiler.block.code_bytes,
-         Bisa_timing.Block_pipeline.run cfg c.Bisa_compiler.Compiler.block))
+         fst
+           (Bisa_timing.Pipeline.Block.run_artifact cfg
+              (Bisa_timing.Pipeline.Block.prepare c.Bisa_compiler.Compiler.block))))
       grid
   in
   let rows =

@@ -19,12 +19,6 @@ module Conv_prog = Bisa_isa.Conv_prog
 
 type backend = Interp | Compiled
 
-let backends = [ ("interp", Interp); ("compiled", Compiled) ]
-let backend_to_string = function Interp -> "interp" | Compiled -> "compiled"
-
-let backend_of_string s =
-  match List.assoc_opt s backends with Some b -> Some b | None -> None
-
 (* Comparators specialized to unboxed arguments: resolved once at compile
    time, so executing a fault/trap/select does one direct int compare. *)
 let icmp : Cmp.t -> int -> int -> bool = function
@@ -705,9 +699,11 @@ module Conv = struct
   type code = {
     cprog : Conv_prog.t;
     threads : thread array;  (* one per pc, plus the off-the-end sentinel *)
-    fast : (st -> unit) array;
+    fast : (st -> unit) array option Atomic.t;
         (* packet-free run-to-halt chains, same layout; the remaining
-           dyn budget travels in [st.fuel] *)
+           dyn budget travels in [st.fuel].  Only [run] uses them and
+           they are most of the code's size, so the first [run] builds
+           them (see [fast_chains]). *)
   }
 
   let prog c = c.cprog
@@ -1522,10 +1518,10 @@ module Conv = struct
         x.Conv_exec.dyn <- x.Conv_exec.budget - (fuel - 1);
         x.Conv_exec.halted <- true
 
-  let compile_trusted (prog : Conv_prog.t) =
+  (* The packet-free run-to-halt chains: one per pc, plus the
+     off-the-end sentinel. *)
+  let build_fast (prog : Conv_prog.t) =
     let n = Array.length prog.insns in
-    let threads = Array.make (n + 1) (fun (_ : st) -> assert false) in
-    Array.iteri (fun pc insn -> threads.(pc) <- compile_insn threads pc insn) prog.insns;
     let fast = Array.make (n + 1) (fun (_ : st) -> assert false) in
     (* Off the end without a control transfer: the same architected
        Wild_jump as the packet sentinel's no-room-left arm. *)
@@ -1577,6 +1573,12 @@ module Conv = struct
          end
          else base)
     done;
+    fast
+
+  let compile_trusted (prog : Conv_prog.t) =
+    let n = Array.length prog.insns in
+    let threads = Array.make (n + 1) (fun (_ : st) -> assert false) in
+    Array.iteri (fun pc insn -> threads.(pc) <- compile_insn threads pc insn) prog.insns;
     (* Fall-through off the program's end: the same cap check, then the
        same architected Wild_jump trap as the interpreter's loop. *)
     threads.(n) <-
@@ -1591,7 +1593,18 @@ module Conv = struct
           st.term <- Conv_exec.Khalt;
           st.next <- n
         end);
-    { cprog = prog; threads; fast }
+    { cprog = prog; threads; fast = Atomic.make None }
+
+  (* The run-to-halt chains, built on first use.  Two domains may race to
+     build them; each chain array is self-contained, so the loser simply
+     adopts the winner's and drops its own. *)
+  let fast_chains code =
+    match Atomic.get code.fast with
+    | Some fast -> fast
+    | None ->
+      let fast = build_fast code.cprog in
+      if Atomic.compare_and_set code.fast None (Some fast) then fast
+      else Option.get (Atomic.get code.fast)
 
   let compile (w : Bisa_verify.Verify.verified_conv_prog) =
     compile_trusted (w :> Conv_prog.t)
@@ -1712,8 +1725,9 @@ module Conv = struct
     st.fuel <- budget;
     let n = Array.length code.cprog.Conv_prog.insns in
     let pc = x.Conv_exec.pc in
+    let fast = fast_chains code in
     (try
-       if pc >= 0 && pc <= n then code.fast.(pc) st
+       if pc >= 0 && pc <= n then fast.(pc) st
        else wild st pc
      with Memory.Unaligned a ->
        (* Committed effects stay (no packet atomicity in this machine);

@@ -36,11 +36,9 @@
     the interpreter's register-file exception verbatim. *)
 
 type backend = Interp | Compiled
-
-val backend_to_string : backend -> string
-val backend_of_string : string -> backend option
-val backends : (string * backend) list
-(** CLI enumeration for [--exec]. *)
+(** Which functional executor an artifact is prepared with.  Production
+    always uses [Compiled]; [Interp] names the interpreter reference leg
+    and survives as a field of the daemon's wire format. *)
 
 module Block : sig
   type code
@@ -125,5 +123,7 @@ module Conv : sig
 
   val run : ?budget:int -> code -> Output.t * int
   (** Mirrors {!Conv_exec.run}: returns output and dynamic instruction
-      count. *)
+      count.  Runs on packet-free chains that the timing pipelines never
+      use, so the first [run] of a code value builds them and caches them
+      in it; concurrent first runs from several domains are safe. *)
 end

@@ -13,8 +13,8 @@ type session = {
   m : Metrics.t;
   engine : Engine.t;
   exec : Block_exec.t;
-  (* Compiled threaded-code executor bound to [exec]'s state, when the
-     session runs with --exec compiled.  Both backends mutate the same
+  (* Compiled threaded-code executor bound to [exec]'s state; [None] only
+     for the interpreter reference leg.  Both backends mutate the same
      record, so checkpoints and counters are backend-agnostic. *)
   cexec : Bisa_sim.Compile.Block.t option;
   icache : Cache.t option;
@@ -45,14 +45,9 @@ type session = {
   mutable running : bool;
 }
 
-let session ?tables ?code ?(probe = Bisa_obs.Probe.null) (cfg : Config.t)
+let session ?(probe = Bisa_obs.Probe.null) ~tables:pd ~code (cfg : Config.t)
     (prog : Block_prog.t) : session =
   let engine = Engine.create cfg in
-  let pd =
-    match tables with
-    | Some t -> t
-    | None -> Predecode.of_block (Bisa_verify.Verify.block_exn prog)
-  in
   let exec = Block_exec.create prog in
   Block_exec.set_budget exec cfg.op_budget;
   let cexec = Option.map (fun c -> Bisa_sim.Compile.Block.bind c exec) code in
@@ -389,6 +384,7 @@ let finish s =
     m.dcache_accesses <- Cache.accesses c;
     m.dcache_misses <- Cache.misses c
   | None -> ());
+  Engine.release s.engine;
   (m, Block_exec.output s.exec)
 
 (* Checkpointing: everything the loop carries between [step]s.  The
@@ -456,10 +452,3 @@ let restore s r =
   Block_pred.load s.pred r;
   opt_side "injector" (R.bool r) s.inj (fun i -> Bisa_uarch.Inject.load i r);
   Metrics.load s.m r
-
-let run_full ?tables ?code ?probe (cfg : Config.t) (prog : Block_prog.t) :
-    Metrics.t * Bisa_sim.Output.t =
-  finish (session ?tables ?code ?probe cfg prog)
-
-let run ?tables ?code ?probe cfg prog =
-  fst (run_full ?tables ?code ?probe cfg prog)

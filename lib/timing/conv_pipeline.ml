@@ -191,8 +191,8 @@ type session = {
   m : Metrics.t;
   engine : Engine.t;
   exec : Conv_exec.t;
-  (* The compiled executor binding when the session runs with --exec
-     compiled; the fast path steps it packet-in-place ([step_into])
+  (* The compiled executor binding ([None] only for the interpreter
+     reference leg); the fast path steps it packet-in-place ([step_into])
      instead of going through the stream's packet records. *)
   cexec : Bisa_sim.Compile.Conv.t option;
   stream : Stream.t;
@@ -212,14 +212,9 @@ type session = {
   mutable running : bool;
 }
 
-let session ?tables ?code ?(probe = Bisa_obs.Probe.null) (cfg : Config.t)
+let session ?(probe = Bisa_obs.Probe.null) ~tables:pd ~code (cfg : Config.t)
     (prog : Conv_prog.t) : session =
   let engine = Engine.create cfg in
-  let pd =
-    match tables with
-    | Some t -> t
-    | None -> Predecode.of_conv (Bisa_verify.Verify.conv_exn prog)
-  in
   let exec = Conv_exec.create prog in
   Conv_exec.set_budget exec cfg.op_budget;
   let cexec = Option.map (fun c -> Bisa_sim.Compile.Conv.bind c exec) code in
@@ -561,6 +556,7 @@ let finish s =
     m.dcache_accesses <- Cache.accesses c;
     m.dcache_misses <- Cache.misses c
   | None -> ());
+  Engine.release s.engine;
   (m, Conv_exec.output s.exec)
 
 (* Checkpointing: everything the loop carries between [step]s.  The
@@ -602,10 +598,3 @@ let restore s r =
   Conv_pred.load s.pred r;
   opt_side "injector" (R.bool r) s.inj (fun i -> Bisa_uarch.Inject.load i r);
   Metrics.load s.m r
-
-let run_full ?tables ?code ?probe (cfg : Config.t) (prog : Conv_prog.t) :
-    Metrics.t * Bisa_sim.Output.t =
-  finish (session ?tables ?code ?probe cfg prog)
-
-let run ?tables ?code ?probe cfg prog =
-  fst (run_full ?tables ?code ?probe cfg prog)

@@ -6,10 +6,9 @@
     — fetch stops at every control instruction — which is what limits the
     conventional core to ~5 useful operations per fetch (paper figure 5).
 
-    [tables] is the program's predecoded op-template table; when omitted it
-    is built on entry (cheap — one pass over the static program).  Pass a
-    memoized table (see {!Predecode.of_conv} and the experiment harness)
-    to share one across many configurations. *)
+    [tables] is the program's predecoded op-template table (see
+    {!Predecode.of_conv}), built once per program and shared across
+    configurations. *)
 
 (** [probe] (default {!Bisa_obs.Probe.null}) receives pipeline events —
     fetch-unit start/retire, prediction outcomes, redirects, cache/BTB and
@@ -17,39 +16,21 @@
     physical-equality test on entry disables every emission, so the hot
     path is unchanged (checked by the allocation-budget test). *)
 
-(** [code] (see {!Bisa_sim.Compile.Conv}) swaps the dispatching
-    interpreter for the program's threaded-code executor.  Both backends
-    drive the identical {!Bisa_sim.Conv_exec.t} state, so metrics,
-    outputs and checkpoints are independent of the choice. *)
-
-val run :
-  ?tables:Predecode.t ->
-  ?code:Bisa_sim.Compile.Conv.code ->
-  ?probe:Bisa_obs.Probe.t ->
-  Config.t ->
-  Bisa_isa.Conv_prog.t ->
-  Metrics.t
-
-val run_full :
-  ?tables:Predecode.t ->
-  ?code:Bisa_sim.Compile.Conv.code ->
-  ?probe:Bisa_obs.Probe.t ->
-  Config.t ->
-  Bisa_isa.Conv_prog.t ->
-  Metrics.t * Bisa_sim.Output.t
-(** As {!run}, also returning the functional output of the underlying
-    executor — the differential fuzzer compares it against the canonical
-    execution to prove fault injection cannot alter architectural
-    results. *)
+(** [code] (see {!Bisa_sim.Compile.Conv}) is the program's threaded-code
+    executor; [None] runs the dispatching interpreter instead — the
+    reference leg the differential oracle compares against.  Both drive
+    the identical {!Bisa_sim.Conv_exec.t} state, so metrics, outputs and
+    checkpoints are independent of the choice. *)
 
 type session
-(** An in-flight run, advanced one fetch unit at a time — the suspendable
-    form of [run_full] that checkpointing is built on. *)
+(** An in-flight run, advanced one fetch unit at a time.  Consumers build
+    one through {!Pipeline.Conv.session_artifact}, which supplies the
+    program's memoized [tables] and [code]. *)
 
 val session :
-  ?tables:Predecode.t ->
-  ?code:Bisa_sim.Compile.Conv.code ->
   ?probe:Bisa_obs.Probe.t ->
+  tables:Predecode.t ->
+  code:Bisa_sim.Compile.Conv.code option ->
   Config.t ->
   Bisa_isa.Conv_prog.t ->
   session
@@ -64,8 +45,9 @@ val set_out_cap : session -> int -> unit
 (** Dynamic instructions executed so far (drives checkpoint cadence). *)
 
 val finish : session -> Metrics.t * Bisa_sim.Output.t
-(** Run the remaining steps and seal the metrics.  [finish (session cfg
-    prog)] equals [run_full cfg prog] exactly. *)
+(** Run the remaining steps and seal the metrics.  The session is spent
+    afterwards: its timing engine's scratch returns to the domain for the
+    next session to reuse. *)
 
 val save : session -> Bisa_base.Codec.W.t -> unit
 val restore : session -> Bisa_base.Codec.R.t -> unit

@@ -49,17 +49,52 @@ type t = {
 
 let sm_init_cap = 8192
 
+(* An engine's big arrays — the issue calendar (2 x [ring_size] words)
+   and the store map, which grows by doubling to a workload's store
+   footprint — are allocated directly in the major heap, 0.8-2.9 MB per
+   run.  Grid cells on one domain run one after another, so [release]
+   parks a finished engine's arrays here and the next [create] on the
+   same domain resets and adopts them.  Capacity is invisible to the
+   store map's contents, so timing does not depend on which arrays an
+   engine got. *)
+type spare = {
+  mutable s_count : int array;
+  mutable s_tag : int array;
+  mutable s_key : int array;  (* [[||]] when the domain has no spare *)
+  mutable s_val : int array;
+}
+
+(* One record per domain, updated in place: parking and adopting arrays
+   allocates nothing. *)
+let spare : spare Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> { s_count = [||]; s_tag = [||]; s_key = [||]; s_val = [||] })
+
 let create (cfg : Config.t) =
+  let sp = Domain.DLS.get spare in
+  let reuse = Array.length sp.s_key > 0 in
+  let fu_count_at = if reuse then sp.s_count else Array.make ring_size 0 in
+  let fu_tag = if reuse then sp.s_tag else Array.make ring_size (-1) in
+  let sm_key = if reuse then sp.s_key else Array.make sm_init_cap (-1) in
+  let sm_val = if reuse then sp.s_val else Array.make sm_init_cap 0 in
+  if reuse then begin
+    Array.fill fu_count_at 0 ring_size 0;
+    Array.fill fu_tag 0 ring_size (-1);
+    Array.fill sm_key 0 (Array.length sm_key) (-1);
+    sp.s_count <- [||];
+    sp.s_tag <- [||];
+    sp.s_key <- [||];
+    sp.s_val <- [||]
+  end;
   {
     cfg;
     fu_count = cfg.fu_count;
     reg_ready = Array.make Reg.flat_count 0;
-    fu_count_at = Array.make ring_size 0;
-    fu_tag = Array.make ring_size (-1);
-    sm_key = Array.make sm_init_cap (-1);
-    sm_val = Array.make sm_init_cap 0;
+    fu_count_at;
+    fu_tag;
+    sm_key;
+    sm_val;
     sm_n = 0;
-    sm_mask = sm_init_cap - 1;
+    sm_mask = Array.length sm_key - 1;
     comp = Array.make 64 0;
     ls_addr = Array.make 32 0;
     ls_time = Array.make 32 0;
@@ -77,6 +112,21 @@ let create (cfg : Config.t) =
   }
 
 let dcache t = t.dcache
+
+(* Park the big arrays for the domain's next engine, keeping the spare
+   with the larger store map.  [sm_n = -1] marks a released engine, so a
+   second call can never hand the same arrays to two engines. *)
+let release t =
+  if t.sm_n >= 0 then begin
+    let sp = Domain.DLS.get spare in
+    if Array.length sp.s_key < Array.length t.sm_key then begin
+      sp.s_count <- t.fu_count_at;
+      sp.s_tag <- t.fu_tag;
+      sp.s_key <- t.sm_key;
+      sp.s_val <- t.sm_val
+    end;
+    t.sm_n <- -1
+  end
 
 (* Store map: [sm_find] yields 0 for absent addresses (the map only ever
    holds positive completion times), [sm_bump] keeps the max. *)

@@ -27,6 +27,13 @@ type t
 val create : Config.t -> t
 val dcache : t -> Bisa_uarch.Cache.t option
 
+val release : t -> unit
+(** Hand the engine's issue calendar and store map to the calling
+    domain, whose next {!create} resets and reuses them instead of
+    allocating fresh ones in the major heap.  Call once the run is over
+    and its results are read; the engine must not be used afterwards.
+    Idempotent. *)
+
 val admit : t -> want:int -> op_count:int -> int
 (** Window admission: earliest dispatch cycle at or after [want] with room
     for [op_count] more operations. *)

@@ -1,8 +1,8 @@
 module Verify = Bisa_verify.Verify
 
-(* The per-pipeline primitives: everything except the artifact layer,
-   which [Extend] derives uniformly for both cores. *)
-module type BASE = sig
+(* What both the per-pipeline primitives and the derived artifact layer
+   expose. *)
+module type CORE = sig
   type prog
   type tables
   type code
@@ -16,26 +16,8 @@ module type BASE = sig
   val compile_trusted : prog -> code
   val prog_hash : prog -> int64
 
-  val run :
-    ?tables:tables ->
-    ?code:code ->
-    ?probe:Bisa_obs.Probe.t ->
-    Config.t ->
-    prog ->
-    Metrics.t
-
-  val run_full :
-    ?tables:tables ->
-    ?code:code ->
-    ?probe:Bisa_obs.Probe.t ->
-    Config.t ->
-    prog ->
-    Metrics.t * Bisa_sim.Output.t
-
   type session
 
-  val session :
-    ?tables:tables -> ?code:code -> ?probe:Bisa_obs.Probe.t -> Config.t -> prog -> session
   val step : session -> bool
   val ops : session -> int
   val set_out_cap : session -> int -> unit
@@ -44,8 +26,22 @@ module type BASE = sig
   val restore : session -> Bisa_base.Codec.R.t -> unit
 end
 
+(* The primitives: [CORE] plus the raw session constructor, which only
+   [Extend] calls — with an artifact's own tables and code. *)
+module type BASE = sig
+  include CORE
+
+  val session :
+    ?probe:Bisa_obs.Probe.t ->
+    tables:tables ->
+    code:code option ->
+    Config.t ->
+    prog ->
+    session
+end
+
 module type S = sig
-  include BASE
+  include CORE
 
   type artifact
 
@@ -56,7 +52,6 @@ module type S = sig
     val tables : t -> tables
     val code : t -> code option
     val hash : t -> int64
-    val with_code : code -> t -> t
   end
 
   val prepare : ?exec:Bisa_sim.Compile.backend -> prog -> artifact
@@ -75,9 +70,8 @@ end
 
 (* Derive the artifact layer from the primitives.  The record is the
    whole design: once a program is inside an artifact, its verification
-   status, tables, optional threaded code and content hash travel as one
-   value, so no consumer threads ?tables/?code pairs (or recomputes the
-   hash) again. *)
+   status, tables, threaded code and content hash travel as one value, so
+   no consumer threads tables/code pairs (or recomputes the hash) again. *)
 module Extend (B : BASE) :
   S
     with type prog = B.prog
@@ -100,34 +94,26 @@ module Extend (B : BASE) :
     let tables a = a.a_tables
     let code a = a.a_code
     let hash a = a.a_hash
-    let with_code c a = { a with a_code = Some c }
   end
 
   let bundle ?code ~tables prog =
     { a_prog = prog; a_tables = tables; a_code = code; a_hash = B.prog_hash prog }
 
-  (* [predecode] verifies, so the compile below may (and must, to avoid
-     running the verifier twice) be the trusted one. *)
-  let prepare ?(exec = Bisa_sim.Compile.Interp) prog =
-    let tables = B.predecode prog in
-    let code =
-      match exec with
-      | Bisa_sim.Compile.Interp -> None
-      | Bisa_sim.Compile.Compiled -> Some (B.compile_trusted prog)
-    in
-    bundle ?code ~tables prog
+  (* Trust is settled by whichever predecode built [tables], so the
+     compile is the trusted one (the verifier runs once, not twice).
+     [Interp] leaves the code out: the interpreter reference leg. *)
+  let assemble ~exec tables prog =
+    match exec with
+    | Bisa_sim.Compile.Interp -> bundle ~tables prog
+    | Bisa_sim.Compile.Compiled -> bundle ~code:(B.compile_trusted prog) ~tables prog
 
-  let prepare_trusted ?(exec = Bisa_sim.Compile.Interp) prog =
-    let tables = B.predecode_trusted prog in
-    let code =
-      match exec with
-      | Bisa_sim.Compile.Interp -> None
-      | Bisa_sim.Compile.Compiled -> Some (B.compile_trusted prog)
-    in
-    bundle ?code ~tables prog
+  let prepare ?(exec = Bisa_sim.Compile.Compiled) prog = assemble ~exec (B.predecode prog) prog
+
+  let prepare_trusted ?(exec = Bisa_sim.Compile.Compiled) prog =
+    assemble ~exec (B.predecode_trusted prog) prog
 
   let session_artifact ?probe cfg a =
-    B.session ~tables:a.a_tables ?code:a.a_code ?probe cfg a.a_prog
+    B.session ?probe ~tables:a.a_tables ~code:a.a_code cfg a.a_prog
 
   let run_artifact ?probe ?out_cap cfg a =
     let s = session_artifact ?probe cfg a in
@@ -148,8 +134,6 @@ module Conv = Extend (struct
   let compile prog = Bisa_sim.Compile.Conv.compile (Verify.conv_exn prog)
   let compile_trusted = Bisa_sim.Compile.Conv.compile_trusted
   let prog_hash prog = Bisa_base.Codec.fnv1a64 (Bisa_isa.Encode.conv_to_bytes prog)
-  let run = Conv_pipeline.run
-  let run_full = Conv_pipeline.run_full
 
   type session = Conv_pipeline.session
 
@@ -175,8 +159,6 @@ module Block = Extend (struct
   let compile prog = Bisa_sim.Compile.Block.compile (Verify.block_exn prog)
   let compile_trusted = Bisa_sim.Compile.Block.compile_trusted
   let prog_hash prog = Bisa_base.Codec.fnv1a64 (Bisa_isa.Encode.block_to_bytes prog)
-  let run = Block_pipeline.run
-  let run_full = Block_pipeline.run_full
 
   type session = Block_pipeline.session
 
@@ -194,14 +176,10 @@ type packed =
       (module S with type prog = 'p and type tables = 'tb and type artifact = 'a) * 'a
       -> packed
 
-let pack_conv ?exec prog = Packed ((module Conv), Conv.prepare ?exec prog)
-let pack_block ?exec prog = Packed ((module Block), Block.prepare ?exec prog)
-
-let pack_conv_trusted ?exec prog =
-  Packed ((module Conv), Conv.prepare_trusted ?exec prog)
-
-let pack_block_trusted ?exec prog =
-  Packed ((module Block), Block.prepare_trusted ?exec prog)
+let pack_conv prog = Packed ((module Conv), Conv.prepare prog)
+let pack_block prog = Packed ((module Block), Block.prepare prog)
+let pack_conv_trusted prog = Packed ((module Conv), Conv.prepare_trusted prog)
+let pack_block_trusted prog = Packed ((module Block), Block.prepare_trusted prog)
 
 let verify_packed (Packed ((module P), art)) = P.verify (P.Artifact.prog art)
 let packed_isa (Packed ((module P), _)) = P.isa

@@ -4,7 +4,7 @@
     predecode table, and fetch engine, but every consumer — the experiment
     harness, [bisasim], the daemon, the fuzzers — drives them identically:
     {e prepare} a program once into an {!S.artifact} (verify, predecode,
-    optionally compile to threaded code, content-hash), then run many
+    compile to threaded code, content-hash), then run many
     configurations against the shared bundle, with an optional
     {!Bisa_obs.Probe.t} observing pipeline events.  {!S} captures that
     contract; {!Conv} and {!Block} are the two implementations, and
@@ -20,13 +20,9 @@
     preparation time, so replaying an artifact is pure — the property the
     serving layer's cache is built on. *)
 
-(** The per-pipeline primitives.  The [?tables]/[?code] optional
-    arguments on [run]/[run_full]/[session] are the pre-artifact API and
-    are {b deprecated} for new code: thread an {!S.artifact} (via
-    {!S.prepare} / {!S.bundle}) and use {!S.run_artifact} /
-    {!S.session_artifact} instead, so the program witness, its derived
-    state and its content hash cannot drift apart. *)
-module type BASE = sig
+(** What every pipeline exposes besides its artifact layer: program
+    preparation primitives and the stepping interface of a session. *)
+module type CORE = sig
   type prog
   type tables
 
@@ -71,38 +67,10 @@ module type BASE = sig
       a checkpoint snapshot (and a served artifact) to the exact program
       it was built from. *)
 
-  val run :
-    ?tables:tables ->
-    ?code:code ->
-    ?probe:Bisa_obs.Probe.t ->
-    Config.t ->
-    prog ->
-    Metrics.t
-  (** Deprecated entry point; prefer {!S.run_artifact}. *)
-
-  val run_full :
-    ?tables:tables ->
-    ?code:code ->
-    ?probe:Bisa_obs.Probe.t ->
-    Config.t ->
-    prog ->
-    Metrics.t * Bisa_sim.Output.t
-  (** Deprecated entry point; prefer {!S.run_artifact}.  With [?code] the
-      functional executor runs compiled; without it, interpreted.  The
-      two backends drive the identical executor state and are
-      differentially tested equivalent, so metrics, outputs and
-      checkpoints do not depend on the choice — only wall-clock does.
-      The exec backend is deliberately absent from
-      {!Config.fingerprint}: a checkpoint taken under either backend
-      resumes under the other. *)
-
   type session
   (** An in-flight run, advanced one fetch unit at a time — the
-      suspendable form of [run_full] that checkpointing is built on. *)
-
-  val session :
-    ?tables:tables -> ?code:code -> ?probe:Bisa_obs.Probe.t -> Config.t -> prog -> session
-  (** Deprecated entry point; prefer {!S.session_artifact}. *)
+      suspendable form of {!S.run_artifact} that checkpointing is built
+      on. *)
 
   val step : session -> bool
   (** Advance by one fetch unit; false once the machine has halted.
@@ -119,8 +87,8 @@ module type BASE = sig
       marked truncated. *)
 
   val finish : session -> Metrics.t * Bisa_sim.Output.t
-  (** Run the remaining steps and seal the metrics.  [finish (session
-      cfg prog)] equals [run_full cfg prog] exactly. *)
+  (** Run the remaining steps and seal the metrics.  [finish
+      (session_artifact cfg a)] equals [run_artifact cfg a] exactly. *)
 
   val save : session -> Bisa_base.Codec.W.t -> unit
   val restore : session -> Bisa_base.Codec.R.t -> unit
@@ -129,12 +97,27 @@ module type BASE = sig
       {!Checkpoint} for the validated on-disk form. *)
 end
 
+(** The per-pipeline primitives: {!CORE} plus the raw session
+    constructor, which only {!Extend} calls, with an artifact's own
+    tables and code. *)
+module type BASE = sig
+  include CORE
+
+  val session :
+    ?probe:Bisa_obs.Probe.t ->
+    tables:tables ->
+    code:code option ->
+    Config.t ->
+    prog ->
+    session
+end
+
 module type S = sig
-  include BASE
+  include CORE
 
   type artifact
   (** A prepared program: the verified program witness, its predecode
-      tables, optionally its threaded code, and its content hash, bundled
+      tables, its threaded code, and its content hash, bundled
       as one value.  Artifacts are {e derived} state — cheap to rebuild,
       deliberately absent from checkpoint snapshot identity — and they
       are what every consumer caches and replays. *)
@@ -145,19 +128,17 @@ module type S = sig
     val prog : t -> prog
     val tables : t -> tables
     val code : t -> code option
-    val hash : t -> int64
+    (** [None] only for the interpreter reference leg (see {!bundle}). *)
 
-    val with_code : code -> t -> t
-    (** The same bundle with threaded code attached — how a cache
-        upgrades an interpreter-prepared artifact when a compiled-backend
-        request arrives. *)
+    val hash : t -> int64
   end
 
   val prepare : ?exec:Bisa_sim.Compile.backend -> prog -> artifact
   (** The single front door: verify the program (raising
       {!Bisa_base.Diag.Fail} with the first diagnostic on rejection),
-      build its tables, compile it to threaded code when [exec] is
-      [Compiled] (default [Interp]), and hash its canonical encoding. *)
+      build its tables, compile it to threaded code, and hash its
+      canonical encoding.  [exec] (default [Compiled]) survives only for
+      the daemon's wire field; [Interp] leaves the code out. *)
 
   val prepare_trusted : ?exec:Bisa_sim.Compile.backend -> prog -> artifact
   (** [prepare] without verification — the caller asserts
@@ -166,7 +147,9 @@ module type S = sig
   val bundle : ?code:code -> tables:tables -> prog -> artifact
   (** Assemble an artifact from pieces built elsewhere (e.g. the
       harness's memoized tables and code) — trust obligations stay with
-      whoever built [tables]. *)
+      whoever built [tables].  Without [code] the artifact runs the
+      dispatching interpreter: the reference leg that the differential
+      oracle and the equivalence tests hold the threaded code against. *)
 
   val session_artifact : ?probe:Bisa_obs.Probe.t -> Config.t -> artifact -> session
 
@@ -176,9 +159,12 @@ module type S = sig
     Config.t ->
     artifact ->
     Metrics.t * Bisa_sim.Output.t
-  (** Run the artifact under [cfg]; equals [run_full] with the bundle's
-      tables and code.  [out_cap] bounds output retention as in
-      {!set_out_cap}. *)
+  (** Run the artifact under [cfg] to completion.  [out_cap] bounds
+      output retention as in {!set_out_cap}.  Whether the artifact
+      carries code changes only wall-clock: both executors drive the
+      identical state and are differentially tested equivalent, so
+      metrics, outputs and checkpoints do not depend on it — which is
+      why the executor is absent from {!Config.fingerprint}. *)
 end
 
 (** Derive the artifact layer from the per-pipeline primitives (exposed
@@ -210,18 +196,17 @@ type packed =
           both types hidden — what a CLI (or the daemon's artifact cache)
           holds after loading input for a user-chosen ISA. *)
 
-val pack_conv : ?exec:Bisa_sim.Compile.backend -> Bisa_isa.Conv_prog.t -> packed
+val pack_conv : Bisa_isa.Conv_prog.t -> packed
 (** Prepare (verifying — raises {!Bisa_base.Diag.Fail} on rejection) and
-    pack.  [exec] (default [Interp]) selects the functional-executor
-    backend baked into the artifact. *)
+    pack. *)
 
-val pack_block : ?exec:Bisa_sim.Compile.backend -> Bisa_isa.Block_prog.t -> packed
+val pack_block : Bisa_isa.Block_prog.t -> packed
 
-val pack_conv_trusted : ?exec:Bisa_sim.Compile.backend -> Bisa_isa.Conv_prog.t -> packed
+val pack_conv_trusted : Bisa_isa.Conv_prog.t -> packed
 (** Pack with an artifact built by {!S.prepare_trusted} — the
     [--no-verify] path. *)
 
-val pack_block_trusted : ?exec:Bisa_sim.Compile.backend -> Bisa_isa.Block_prog.t -> packed
+val pack_block_trusted : Bisa_isa.Block_prog.t -> packed
 
 val verify_packed : packed -> Bisa_base.Diag.t list
 (** Run the packed program's static verifier (even if packed trusted). *)
@@ -237,6 +222,4 @@ val run_packed :
   packed ->
   Metrics.t * Bisa_sim.Output.t
 (** Run the packed artifact under [cfg].  [out_cap] bounds output
-    retention as in {!S.set_out_cap}.  The exec backend was chosen when
-    the artifact was prepared; the backends are differentially tested
-    equivalent, so only wall-clock depends on it. *)
+    retention as in {!S.set_out_cap}. *)

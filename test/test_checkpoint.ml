@@ -105,8 +105,9 @@ let check_metrics what expected got =
 let checkpoint_equivalence (type p tb)
     (module P : Pipeline.S with type prog = p and type tables = tb) cfg
     (prog : p) ~steps =
-  let m_full, out_full = P.run_full cfg prog in
-  let s = P.session cfg prog in
+  let art = P.prepare prog in
+  let m_full, out_full = P.run_artifact cfg art in
+  let s = P.session_artifact cfg art in
   let live = ref true in
   for _ = 1 to steps do
     if !live then live := P.step s
@@ -115,7 +116,7 @@ let checkpoint_equivalence (type p tb)
     (P.isa ^ ": snapshot taken mid-run") true !live;
   let w = Codec.W.create () in
   P.save s w;
-  let s2 = P.session cfg prog in
+  let s2 = P.session_artifact cfg art in
   P.restore s2 (Codec.R.of_string (Codec.W.contents w));
   Alcotest.(check int) (P.isa ^ ": ops restored") (P.ops s) (P.ops s2);
   let m2, out2 = P.finish s2 in
@@ -154,20 +155,23 @@ let test_session_roundtrip_perfect () =
    both backends mutate the same executor state, so a snapshot taken
    under one must resume under the other bit-for-bit.  Check every leg
    (interp->compiled, compiled->interp, compiled->compiled) against an
-   uninterrupted interpreter run. *)
+   uninterrupted interpreter run; the interpreter legs run code-less
+   artifacts. *)
 let cross_backend_equivalence (type p tb c)
     (module P : Pipeline.S with type prog = p and type tables = tb and type code = c)
     cfg (prog : p) ~steps =
+  let tables = P.predecode prog in
   let code = P.compile prog in
-  let m_full, out_full = P.run_full cfg prog in
-  let m_comp, out_comp = P.run_full ~code cfg prog in
+  let art code = P.bundle ?code ~tables prog in
+  let m_full, out_full = P.run_artifact cfg (art None) in
+  let m_comp, out_comp = P.run_artifact cfg (art (Some code)) in
   check_metrics (P.isa ^ ": uninterrupted compiled metrics == interp") m_full m_comp;
   Alcotest.(check bool)
     (P.isa ^ ": uninterrupted compiled output == interp")
     true
     (Output.equal out_full out_comp);
   let leg what ~save_code ~resume_code =
-    let s = P.session ?code:save_code cfg prog in
+    let s = P.session_artifact cfg (art save_code) in
     let live = ref true in
     for _ = 1 to steps do
       if !live then live := P.step s
@@ -175,7 +179,7 @@ let cross_backend_equivalence (type p tb c)
     Alcotest.(check bool) (P.isa ^ ": " ^ what ^ " snapshot taken mid-run") true !live;
     let w = Codec.W.create () in
     P.save s w;
-    let s2 = P.session ?code:resume_code cfg prog in
+    let s2 = P.session_artifact cfg (art resume_code) in
     P.restore s2 (Codec.R.of_string (Codec.W.contents w));
     let m2, out2 = P.finish s2 in
     check_metrics (P.isa ^ ": " ^ what ^ " metrics == uninterrupted") m_full m2;
@@ -204,9 +208,10 @@ let template_checkpoint_equivalence (type p tb c)
     cfg (prog : p) ~steps =
   let tables = P.predecode_trusted prog in
   let code = P.compile_trusted prog in
-  let m_full, out_full = P.run_full ~tables ~code cfg prog in
-  let s_plain = P.session cfg prog in
-  let s_tab = P.session ~tables ~code cfg prog in
+  let art = P.bundle ~code ~tables prog in
+  let m_full, out_full = P.run_artifact cfg art in
+  let s_plain = P.session_artifact cfg (P.bundle ~tables:(P.predecode prog) prog) in
+  let s_tab = P.session_artifact cfg art in
   let live = ref true in
   for _ = 1 to steps do
     if !live then begin
@@ -225,7 +230,7 @@ let template_checkpoint_equivalence (type p tb c)
   Alcotest.(check string)
     (P.isa ^ ": templated snapshot == plain snapshot")
     (bytes s_plain) (bytes s_tab);
-  let s2 = P.session ~tables:(P.predecode_trusted prog) ~code cfg prog in
+  let s2 = P.session_artifact cfg (P.bundle ~code ~tables:(P.predecode_trusted prog) prog) in
   P.restore s2 (Codec.R.of_string (bytes s_tab));
   let m2, out2 = P.finish s2 in
   check_metrics (P.isa ^ ": resumed metrics == uninterrupted") m_full m2;
@@ -288,10 +293,11 @@ let test_snapshot_header_validation () =
 let test_drive_resume () =
   let c = Lazy.force compiled in
   let cfg = Config.default in
-  let m_full, _ = Pipeline.Conv.run_full cfg c.conv in
+  let art = Pipeline.Conv.prepare c.conv in
+  let m_full, _ = Pipeline.Conv.run_artifact cfg art in
   let path = tmp_path () in
   (* Plant a genuine mid-run snapshot, as a killed run would leave. *)
-  let s = Pipeline.Conv.session cfg c.conv in
+  let s = Pipeline.Conv.session_artifact cfg art in
   for _ = 1 to 50 do
     ignore (Pipeline.Conv.step s : bool)
   done;
@@ -302,8 +308,7 @@ let test_drive_resume () =
     (fun w -> Pipeline.Conv.save s w);
   (* Resuming must complete from there and erase the snapshot. *)
   (match
-     Checkpoint.drive (module Pipeline.Conv) ~snapshot:(path, 1_000) cfg
-       (Pipeline.Conv.prepare c.conv)
+     Checkpoint.drive (module Pipeline.Conv) ~snapshot:(path, 1_000) cfg art
    with
   | Checkpoint.Finished (m, _) ->
     check_metrics "driven resume == uninterrupted" m_full m
@@ -313,11 +318,11 @@ let test_drive_resume () =
 let test_drive_deadline () =
   let c = Lazy.force compiled in
   let cfg = Config.default in
-  let m_full, _ = Pipeline.Block.run_full cfg c.block in
+  let art = Pipeline.Block.prepare c.block in
+  let m_full, _ = Pipeline.Block.run_artifact cfg art in
   let path = tmp_path () in
   (* A deadline that fires almost immediately: the driver must stop,
      persist a final snapshot, and report the ops completed. *)
-  let art = Pipeline.Block.prepare c.block in
   let polls = ref 0 in
   let deadline () =
     incr polls;
@@ -364,10 +369,10 @@ let drive_crash_equivalence (type p tb c a)
        and type tables = tb
        and type code = c
        and type artifact = a) cfg (prog : p) ~crash_code ~resume_code what =
-  let m_full, out_full = P.run_full cfg prog in
   (* The two legs may deliberately carry different backends: bundle one
      artifact per leg over shared tables (the snapshot is backend-blind). *)
   let tables = P.predecode prog in
+  let m_full, out_full = P.run_artifact cfg (P.bundle ~tables prog) in
   let crash_art = P.bundle ?code:crash_code ~tables prog in
   let resume_art = P.bundle ?code:resume_code ~tables prog in
   let path = tmp_path () in
@@ -431,10 +436,11 @@ let test_session_out_cap () =
   (* Retention after a capped paper-style run is the cap, not the output
      length — the invariant that keeps RSS independent of op count. *)
   let c = Lazy.force compiled in
-  let s = Pipeline.Conv.session Config.default c.conv in
+  let art = Pipeline.Conv.prepare c.conv in
+  let s = Pipeline.Conv.session_artifact Config.default art in
   Pipeline.Conv.set_out_cap s 4;
   let _, out = Pipeline.Conv.finish s in
-  let _, out_full = Pipeline.Conv.run_full Config.default c.conv in
+  let _, out_full = Pipeline.Conv.run_artifact Config.default art in
   Alcotest.(check int) "retained items = cap" 4 (List.length out.Output.items);
   Alcotest.(check bool) "uncapped run keeps more" true
     (List.length out_full.Output.items > 4);

@@ -429,6 +429,29 @@ let test_workloads_equivalent () =
       lockstep_both c)
     [ "compress"; "li"; "go" ]
 
+(* The conv run-to-halt chains are built by the first [run] of a code
+   value and cached in it.  Two domains racing to be first on one shared,
+   never-run code value must each get the interpreter's exact output and
+   dynamic count, whichever of them installs its chains. *)
+let test_lazy_chains_across_domains () =
+  let c = Bisa_workloads.Workloads.compile ~scale:1 (Bisa_workloads.Workloads.find "li") in
+  let out, dyn = Conv_exec.run c.conv () in
+  let code = Compile.Conv.compile_trusted c.conv in
+  let go = Atomic.make false in
+  let racer () =
+    while not (Atomic.get go) do
+      Domain.cpu_relax ()
+    done;
+    Compile.Conv.run code
+  in
+  let a = Domain.spawn racer and b = Domain.spawn racer in
+  Atomic.set go true;
+  List.iter
+    (fun (who, (o, n)) ->
+      Alcotest.(check bool) (who ^ ": output == interpreter") true (Output.equal out o);
+      Alcotest.(check int) (who ^ ": dyn count == interpreter") dyn n)
+    [ ("domain A", Domain.join a); ("domain B", Domain.join b); ("rerun", Compile.Conv.run code) ]
+
 let suite =
   [
     Alcotest.test_case "int opcode classes" `Quick test_int_opcodes;
@@ -445,4 +468,5 @@ let suite =
     Alcotest.test_case "bind rejects foreign prog" `Quick test_bind_rejects_foreign_program;
     Alcotest.test_case "mid-run backend switch" `Quick test_mid_run_backend_switch;
     Alcotest.test_case "workload sweep" `Quick test_workloads_equivalent;
+    Alcotest.test_case "lazy run chains across domains" `Quick test_lazy_chains_across_domains;
   ]

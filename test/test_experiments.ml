@@ -156,7 +156,7 @@ let test_campaign_timeout () =
     Campaign.open_ ~dir:d ~checkpoint_every:500 ~scale:(Some 1) ~paper_caches:false ()
   in
   let m = Campaign.run_cell camp2 (module Bisa_timing.Pipeline.Conv) ~bench:"slow" cfg art in
-  let m_direct = Bisa_timing.Pipeline.Conv.run cfg c.conv in
+  let m_direct, _ = Bisa_timing.Pipeline.Conv.run_artifact cfg art in
   Alcotest.(check string) "retry result == direct run"
     (Bisa_timing.Metrics.summary ~name:"x" m_direct)
     (Bisa_timing.Metrics.summary ~name:"x" m);
@@ -170,6 +170,20 @@ let test_campaign_timeout () =
   Alcotest.(check bool) "snapshot deleted" false (Sys.file_exists (cell ".ckpt"));
   Alcotest.(check bool) "manifest written" true (Sys.file_exists (cell ".done"))
 
+(* Threaded code is the studies' executor; the interpreter survives only
+   as their reference leg.  Both must render the same report, byte for
+   byte (compress keeps it fast; predication compiles and simulates its
+   own program variants, trace-cache rivalry shares one conv artifact
+   across two configurations). *)
+let test_studies_identical_on_reference_leg () =
+  let render reference =
+    let module E = Bisa_experiments.Extras in
+    let tc = E.trace_cache_rivalry ~workloads:[ "compress" ] ~reference () in
+    let pred = E.predication_study ~workloads:[ "compress" ] ~reference () in
+    String.concat "\n" [ tc.rendered; tc.summary; pred.rendered; pred.summary ]
+  in
+  Alcotest.(check string) "compiled render == interpreter render" (render true) (render false)
+
 let suite =
   [
     Alcotest.test_case "table1" `Quick test_table1_is_paper;
@@ -181,4 +195,6 @@ let suite =
     Alcotest.test_case "campaign resume identical" `Slow test_campaign_resume_identical;
     Alcotest.test_case "campaign meta mismatch" `Quick test_campaign_meta_mismatch;
     Alcotest.test_case "campaign timeout" `Quick test_campaign_timeout;
+    Alcotest.test_case "studies identical on the reference leg" `Slow
+      test_studies_identical_on_reference_leg;
   ]

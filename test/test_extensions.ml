@@ -124,8 +124,9 @@ let test_ifconvert_removes_mispredicts () =
   let base = Bisa_compiler.Compiler.compile hammock_src in
   let pred = Bisa_compiler.Compiler.compile ~ifconvert:true hammock_src in
   let cfg = Bisa_timing.Config.default in
-  let m0 = Bisa_timing.Conv_pipeline.run cfg base.conv in
-  let m1 = Bisa_timing.Conv_pipeline.run cfg pred.conv in
+  let time prog = fst (Bisa_timing.Pipeline.Conv.(run_artifact cfg (prepare prog))) in
+  let m0 = time base.conv in
+  let m1 = time pred.conv in
   Alcotest.(check bool)
     (Printf.sprintf "fewer mispredicts (%d -> %d)" m0.mispredicts m1.mispredicts)
     true
@@ -189,8 +190,9 @@ let test_trace_cache_speeds_up_conv () =
   let with_tc =
     { base with trace_cache = Some Trace_cache.default_config }
   in
-  let m0 = Bisa_timing.Conv_pipeline.run base c.conv in
-  let m1 = Bisa_timing.Conv_pipeline.run with_tc c.conv in
+  let art = Bisa_timing.Pipeline.Conv.prepare c.conv in
+  let m0, _ = Bisa_timing.Pipeline.Conv.run_artifact base art in
+  let m1, _ = Bisa_timing.Pipeline.Conv.run_artifact with_tc art in
   Alcotest.(check bool) "tc hits happen" true (m1.tc_hits > 100);
   Alcotest.(check bool) "tc not slower" true (m1.cycles <= m0.cycles);
   Alcotest.(check int) "same work retired" m0.retired_ops m1.retired_ops

@@ -13,6 +13,10 @@
 module Config = Bisa_timing.Config
 module Metrics = Bisa_timing.Metrics
 module Workloads = Bisa_workloads.Workloads
+module P = Bisa_timing.Pipeline
+
+let time_conv ?probe cfg art = fst (P.Conv.run_artifact ?probe cfg art)
+let time_block ?probe cfg art = fst (P.Block.run_artifact ?probe cfg art)
 
 (* The 512-iteration micro kernel (the bench harness uses a 2048-entry
    variant; the goldens were recorded at 512 to keep the suite fast). *)
@@ -101,18 +105,17 @@ let programs () =
   ]
 
 (* The recorded grid: conv = (real|perfect) x (no trace cache | default
-   trace cache), block = (real|perfect); default icache/dcache throughout. *)
+   trace cache), block = (real|perfect); default icache/dcache throughout.
+   Run on the interpreter reference leg: artifacts without threaded code. *)
 let current_fingerprints () =
   List.concat_map
     (fun (name, (c : Bisa_compiler.Compiler.compiled)) ->
+      let conv_art = P.Conv.bundle ~tables:(P.Conv.predecode c.conv) c.conv in
+      let block_art = P.Block.bundle ~tables:(P.Block.predecode c.block) c.block in
       let conv predictor trace_cache =
-        Bisa_timing.Conv_pipeline.run
-          { Config.default with predictor; trace_cache }
-          c.conv
+        time_conv { Config.default with predictor; trace_cache } conv_art
       in
-      let block predictor =
-        Bisa_timing.Block_pipeline.run { Config.default with predictor } c.block
-      in
+      let block predictor = time_block { Config.default with predictor } block_art in
       let tc = Some Bisa_uarch.Trace_cache.default_config in
       [
         (name ^ "/conv/real/notc", fingerprint (conv Config.Real None));
@@ -145,18 +148,11 @@ let compiled_grid pool =
   let points =
     List.concat_map
       (fun (name, (c : Bisa_compiler.Compiler.compiled)) ->
-        let ccode = Bisa_timing.Pipeline.Conv.compile c.conv in
-        let bcode = Bisa_timing.Pipeline.Block.compile c.block in
+        let conv_art = P.Conv.prepare c.conv and block_art = P.Block.prepare c.block in
         let conv predictor trace_cache () =
-          Bisa_timing.Conv_pipeline.run ~code:ccode
-            { Config.default with predictor; trace_cache }
-            c.conv
+          time_conv { Config.default with predictor; trace_cache } conv_art
         in
-        let block predictor () =
-          Bisa_timing.Block_pipeline.run ~code:bcode
-            { Config.default with predictor }
-            c.block
-        in
+        let block predictor () = time_block { Config.default with predictor } block_art in
         let tc = Some Bisa_uarch.Trace_cache.default_config in
         [
           (name ^ "/conv/real/notc", conv Config.Real None);
@@ -194,14 +190,10 @@ let per_op run =
 
 let test_allocation_budget () =
   let c = Bisa_compiler.Compiler.compile micro_source in
-  let conv_tables = Bisa_timing.Pipeline.Conv.predecode c.conv in
-  let block_tables = Bisa_timing.Pipeline.Block.predecode c.block in
-  let conv () =
-    Bisa_timing.Conv_pipeline.run ~tables:conv_tables Config.default c.conv
-  in
-  let block () =
-    Bisa_timing.Block_pipeline.run ~tables:block_tables Config.default c.block
-  in
+  let conv_art = P.Conv.bundle ~tables:(P.Conv.predecode c.conv) c.conv in
+  let block_art = P.Block.bundle ~tables:(P.Block.predecode c.block) c.block in
+  let conv () = time_conv Config.default conv_art in
+  let block () = time_block Config.default block_art in
   let pc = per_op conv and pb = per_op block in
   if pc > alloc_bound then
     Alcotest.failf "conv pipeline allocates %.1f bytes/op (bound %.0f)" pc alloc_bound;
@@ -213,15 +205,8 @@ let test_allocation_budget () =
      a paired delta would flake; the zero-allocation property of the probe
      itself is asserted exactly below). *)
   let null_probe = Bisa_obs.Probe.null in
-  let pc' =
-    per_op (fun () ->
-        Bisa_timing.Conv_pipeline.run ~tables:conv_tables ~probe:null_probe
-          Config.default c.conv)
-  and pb' =
-    per_op (fun () ->
-        Bisa_timing.Block_pipeline.run ~tables:block_tables ~probe:null_probe
-          Config.default c.block)
-  in
+  let pc' = per_op (fun () -> time_conv ~probe:null_probe Config.default conv_art)
+  and pb' = per_op (fun () -> time_block ~probe:null_probe Config.default block_art) in
   if pc' > alloc_bound then
     Alcotest.failf "conv + null probe allocates %.1f bytes/op (bound %.0f)" pc' alloc_bound;
   if pb' > alloc_bound then
@@ -240,25 +225,53 @@ let compiled_alloc_bound_block = 240.0
 
 let test_compiled_allocation_budget () =
   let c = Bisa_compiler.Compiler.compile micro_source in
-  let conv_tables = Bisa_timing.Pipeline.Conv.predecode c.conv in
-  let block_tables = Bisa_timing.Pipeline.Block.predecode c.block in
-  let ccode = Bisa_timing.Pipeline.Conv.compile c.conv in
-  let bcode = Bisa_timing.Pipeline.Block.compile c.block in
-  let pc =
-    per_op (fun () ->
-        Bisa_timing.Conv_pipeline.run ~tables:conv_tables ~code:ccode
-          Config.default c.conv)
-  and pb =
-    per_op (fun () ->
-        Bisa_timing.Block_pipeline.run ~tables:block_tables ~code:bcode
-          Config.default c.block)
-  in
+  let conv_art = P.Conv.prepare c.conv and block_art = P.Block.prepare c.block in
+  let pc = per_op (fun () -> time_conv Config.default conv_art)
+  and pb = per_op (fun () -> time_block Config.default block_art) in
   if pc > compiled_alloc_bound_conv then
     Alcotest.failf "compiled conv pipeline allocates %.1f bytes/op (bound %.0f)"
       pc compiled_alloc_bound_conv;
   if pb > compiled_alloc_bound_block then
     Alcotest.failf "compiled block pipeline allocates %.1f bytes/op (bound %.0f)"
       pb compiled_alloc_bound_block
+
+(* Words a timing run allocates directly in the major heap.  Each engine
+   hands its issue calendar (64K words) and store map (16K words,
+   doubling to 256K+ on store-heavy surrogates) to its domain's next
+   engine, so after one warm-up cell a second cell allocates only what is
+   truly per run: memory pages and predictor tables.  Measured 52K (conv)
+   / 54K (block) words on compress; a fresh store map alone brings conv
+   to ~150K, fresh arrays throughout to ~220K.  The budget leaves 50%
+   headroom and trips if either array is reallocated.  This garbage, not
+   live data, is what drove the report's peak RSS (DESIGN.md section 10). *)
+let direct_major_budget = 80_000.0
+
+let test_direct_major_allocation () =
+  let c = Workloads.compile ~scale:1 (Workloads.find "compress") in
+  let direct () =
+    let s = Gc.quick_stat () in
+    s.major_words -. s.promoted_words
+  in
+  let second_cell run =
+    ignore (run ());
+    let before = direct () in
+    ignore (run ());
+    direct () -. before
+  in
+  (* A fresh domain, so the warm-up cell is the only one it has seen. *)
+  let conv, block =
+    Domain.join
+      (Domain.spawn (fun () ->
+           let conv_art = P.Conv.prepare c.conv and block_art = P.Block.prepare c.block in
+           ( second_cell (fun () -> P.Conv.run_artifact Config.default conv_art),
+             second_cell (fun () -> P.Block.run_artifact Config.default block_art) )))
+  in
+  List.iter
+    (fun (isa, words) ->
+      if words > direct_major_budget then
+        Alcotest.failf "%s cell allocates %.0f words directly in the major heap (budget %.0f)"
+          isa words direct_major_budget)
+    [ ("conv", conv); ("block", block) ]
 
 (* Invoking the null probe's hooks allocates nothing: all arguments are
    immediates, so a million invocations of the full event set must not
@@ -301,4 +314,6 @@ let suite =
     Alcotest.test_case "compiled-exec allocation budget" `Quick
       test_compiled_allocation_budget;
     Alcotest.test_case "null probe is allocation-free" `Quick test_null_probe_zero_alloc;
+    Alcotest.test_case "direct major-heap allocation per cell" `Quick
+      test_direct_major_allocation;
   ]

@@ -170,8 +170,9 @@ let test_binary_then_timing () =
   let decoded =
     Bisa_isa.Encode.block_of_bytes (Bisa_isa.Encode.block_to_bytes c.block)
   in
-  let m = Bisa_timing.Block_pipeline.run Bisa_timing.Config.default decoded in
-  let m0 = Bisa_timing.Block_pipeline.run Bisa_timing.Config.default c.block in
+  let time prog = fst Bisa_timing.Pipeline.Block.(run_artifact Bisa_timing.Config.default (prepare prog)) in
+  let m = time decoded in
+  let m0 = time c.block in
   Alcotest.(check int) "identical timing after roundtrip" m0.cycles m.cycles
 
 (* Timing determinism: the cycle count is a pure function of program and
@@ -180,12 +181,14 @@ let test_binary_then_timing () =
 let test_pinned_checksums () =
   let w = Bisa_workloads.Workloads.find "compress" in
   let c = Bisa_workloads.Workloads.compile ~scale:1 w in
-  let m1 = Bisa_timing.Conv_pipeline.run Bisa_timing.Config.default c.conv in
-  let m2 = Bisa_timing.Conv_pipeline.run Bisa_timing.Config.default c.conv in
+  let conv = Bisa_timing.Pipeline.Conv.prepare c.conv
+  and block = Bisa_timing.Pipeline.Block.prepare c.block in
+  let m1, _ = Bisa_timing.Pipeline.Conv.run_artifact Bisa_timing.Config.default conv in
+  let m2, _ = Bisa_timing.Pipeline.Conv.run_artifact Bisa_timing.Config.default conv in
   Alcotest.(check int) "cycles reproducible" m1.cycles m2.cycles;
   Alcotest.(check int) "mispredicts reproducible" m1.mispredicts m2.mispredicts;
-  let b1 = Bisa_timing.Block_pipeline.run Bisa_timing.Config.default c.block in
-  let b2 = Bisa_timing.Block_pipeline.run Bisa_timing.Config.default c.block in
+  let b1, _ = Bisa_timing.Pipeline.Block.run_artifact Bisa_timing.Config.default block in
+  let b2, _ = Bisa_timing.Pipeline.Block.run_artifact Bisa_timing.Config.default block in
   Alcotest.(check int) "block cycles reproducible" b1.cycles b2.cycles
 
 let test_determinism_across_isas () =

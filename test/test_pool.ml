@@ -129,9 +129,10 @@ let test_harness_memo_computes_once () =
   | [] -> Alcotest.fail "no results");
   let sorted = List.sort compare !computes in
   Alcotest.(check (list string))
-    "one artifact, one compile, one predecode, one run"
+    "one artifact, one compile, one threaded-code compile, one predecode, one run"
     [
       "artifact:m88ksim/conv";
+      "compile-exec:m88ksim/conv";
       "compile:m88ksim";
       "predecode:m88ksim/conv";
       "run:m88ksim/conv";

@@ -5,6 +5,14 @@ module Engine = Bisa_timing.Engine
 module Predecode = Bisa_timing.Predecode
 module Config = Bisa_timing.Config
 module Opclass = Bisa_isa.Opclass
+module P = Bisa_timing.Pipeline
+
+let time_conv ?probe cfg art = fst (P.Conv.run_artifact ?probe cfg art)
+let time_block ?probe cfg art = fst (P.Block.run_artifact ?probe cfg art)
+
+(* The interpreter reference leg: artifacts without threaded code. *)
+let interp_conv prog = P.Conv.bundle ~tables:(P.Conv.predecode prog) prog
+let interp_block prog = P.Block.bundle ~tables:(P.Block.predecode prog) prog
 
 let tiny_config =
   {
@@ -138,8 +146,8 @@ int main() {
 let test_pipeline_sanity_bounds () =
   let c = Bisa_compiler.Compiler.compile sample in
   let cfg = Config.default in
-  let mc = Bisa_timing.Conv_pipeline.run cfg c.conv in
-  let mb = Bisa_timing.Block_pipeline.run cfg c.block in
+  let mc = time_conv cfg (P.Conv.prepare c.conv) in
+  let mb = time_block cfg (P.Block.prepare c.block) in
   (* Cycles bounded below by fetch bandwidth and above by total latency. *)
   Alcotest.(check bool) "conv lower bound" true
     (mc.cycles >= mc.retired_ops / cfg.issue_width);
@@ -152,20 +160,22 @@ let test_pipeline_sanity_bounds () =
 
 let test_perfect_pred_not_slower () =
   let c = Bisa_compiler.Compiler.compile sample in
+  let conv = P.Conv.prepare c.conv and block = P.Block.prepare c.block in
   List.iter
     (fun icache ->
       let real = { Config.default with icache } in
       let perfect = { real with predictor = Config.Perfect } in
-      let r = Bisa_timing.Conv_pipeline.run real c.conv in
-      let p = Bisa_timing.Conv_pipeline.run perfect c.conv in
+      let r = time_conv real conv in
+      let p = time_conv perfect conv in
       Alcotest.(check bool) "conv: perfect <= real" true (p.cycles <= r.cycles);
-      let rb = Bisa_timing.Block_pipeline.run real c.block in
-      let pb = Bisa_timing.Block_pipeline.run perfect c.block in
+      let rb = time_block real block in
+      let pb = time_block perfect block in
       Alcotest.(check bool) "block: perfect <= real" true (pb.cycles <= rb.cycles))
     [ None; Config.default.icache ]
 
 let test_bigger_icache_not_slower () =
   let c = Bisa_workloads.Workloads.compile ~scale:1 (Bisa_workloads.Workloads.find "go") in
+  let block = P.Block.prepare c.block in
   let at kb =
     let cfg =
       {
@@ -173,7 +183,7 @@ let test_bigger_icache_not_slower () =
         icache = Some { Bisa_uarch.Cache.size_bytes = kb * 1024; assoc = 4; line_bytes = 32 };
       }
     in
-    (Bisa_timing.Block_pipeline.run cfg c.block).cycles
+    (time_block cfg block).cycles
   in
   let c2 = at 2 and c8 = at 8 and c64 = at 64 in
   Alcotest.(check bool) "8KB <= 2KB" true (c8 <= c2);
@@ -181,8 +191,8 @@ let test_bigger_icache_not_slower () =
 
 let test_metrics_mean_block_size () =
   let c = Bisa_compiler.Compiler.compile sample in
-  let mc = Bisa_timing.Conv_pipeline.run Config.default c.conv in
-  let mb = Bisa_timing.Block_pipeline.run Config.default c.block in
+  let mc = time_conv Config.default (P.Conv.prepare c.conv) in
+  let mb = time_block Config.default (P.Block.prepare c.block) in
   let szc = Bisa_timing.Metrics.mean_block_size mc in
   let szb = Bisa_timing.Metrics.mean_block_size mb in
   Alcotest.(check bool) "conv blocks small" true (szc > 2.0 && szc < 16.0);
@@ -216,17 +226,12 @@ let test_probe_equivalence () =
       (name ^ ": general path metrics == fast path")
       (mbytes fast) (mbytes general)
   in
-  check "conv interp" (fun probe ->
-      Bisa_timing.Conv_pipeline.run ~probe Config.default c.conv);
-  check "block interp" (fun probe ->
-      Bisa_timing.Block_pipeline.run ~probe Config.default c.block);
-  let conv_code = Bisa_timing.Pipeline.Conv.compile c.conv in
-  let block_code = Bisa_timing.Pipeline.Block.compile c.block in
-  check "conv compiled" (fun probe ->
-      Bisa_timing.Conv_pipeline.run ~code:conv_code ~probe Config.default c.conv);
-  check "block compiled" (fun probe ->
-      Bisa_timing.Block_pipeline.run ~code:block_code ~probe Config.default
-        c.block)
+  let conv = interp_conv c.conv and block = interp_block c.block in
+  check "conv interp" (fun probe -> time_conv ~probe Config.default conv);
+  check "block interp" (fun probe -> time_block ~probe Config.default block);
+  let conv = P.Conv.prepare c.conv and block = P.Block.prepare c.block in
+  check "conv compiled" (fun probe -> time_conv ~probe Config.default conv);
+  check "block compiled" (fun probe -> time_block ~probe Config.default block)
 
 (* A longer-running workload so the steady-state window is thousands of
    steps deep, far past predictor/cache warmup and table growth. *)
@@ -269,20 +274,10 @@ let test_steady_state_allocation () =
       (per_step <= bound)
   in
   let cfg = Config.default in
-  let conv =
-    Bisa_timing.Conv_pipeline.session
-      ~tables:(Bisa_timing.Pipeline.Conv.predecode c.conv)
-      ~code:(Bisa_timing.Pipeline.Conv.compile c.conv)
-      cfg c.conv
-  in
-  words_per_step "conv fast step" conv Bisa_timing.Conv_pipeline.step 2.0;
-  let block =
-    Bisa_timing.Block_pipeline.session
-      ~tables:(Bisa_timing.Pipeline.Block.predecode c.block)
-      ~code:(Bisa_timing.Pipeline.Block.compile c.block)
-      cfg c.block
-  in
-  words_per_step "block fast step" block Bisa_timing.Block_pipeline.step 24.0
+  let conv = P.Conv.session_artifact cfg (P.Conv.prepare c.conv) in
+  words_per_step "conv fast step" conv P.Conv.step 2.0;
+  let block = P.Block.session_artifact cfg (P.Block.prepare c.block) in
+  words_per_step "block fast step" block P.Block.step 24.0
 
 let suite =
   [
