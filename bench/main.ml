@@ -60,33 +60,38 @@ int main() {
 }
 |}
 
-(* A plain [lazy] here is not domain-safe: concurrent forcing raises
-   Lazy.Undefined (or races) on OCaml 5.  [Pool.Once] computes once and
-   blocks concurrent forcers. *)
-let micro = Pool.Once.make (fun () -> Bisa_compiler.Compiler.compile micro_source)
-let force_micro () = Pool.Once.force micro
+(* Everything the kernels share for the micro workload: its compiled
+   program and its prepared artifacts (tables + threaded code + hash),
+   built (through the verifier) once outside any timed region — the
+   kernels below measure steady-state simulation only, matching how the
+   experiment harness memoizes the same bundle per program.  A plain
+   [lazy] here is not domain-safe: concurrent forcing raises
+   Lazy.Undefined (or races) on OCaml 5.  The memo fills once and blocks
+   concurrent readers until it has. *)
+type micro = {
+  compiled : Bisa_compiler.Compiler.compiled;
+  conv_art : Bisa_timing.Pipeline.Conv.artifact;
+  block_art : Bisa_timing.Pipeline.Block.artifact;
+}
 
-(* Prepared artifacts (tables + threaded code + hash) for the micro
-   workload, built (through the verifier) once outside any timed region —
-   the kernels below measure steady-state simulation only, matching how
-   the experiment harness memoizes the same bundle per program. *)
-let micro_conv_art =
-  Pool.Once.make (fun () -> Bisa_timing.Pipeline.Conv.prepare (force_micro ()).conv)
+let micro_memo : (unit, micro) Bisa_base.Memo.t = Bisa_base.Memo.create ()
 
-let micro_block_art =
-  Pool.Once.make (fun () -> Bisa_timing.Pipeline.Block.prepare (force_micro ()).block)
+let micro () =
+  Bisa_base.Memo.find_or_compute micro_memo () (fun () ->
+      let compiled = Bisa_compiler.Compiler.compile micro_source in
+      {
+        compiled;
+        conv_art = Bisa_timing.Pipeline.Conv.prepare compiled.conv;
+        block_art = Bisa_timing.Pipeline.Block.prepare compiled.block;
+      })
 
 (* The compiled-exec kernels time the raw threaded code directly; a
    prepared artifact always carries it. *)
 let micro_conv_code () =
-  match Bisa_timing.Pipeline.Conv.Artifact.code (Pool.Once.force micro_conv_art) with
-  | Some c -> c
-  | None -> assert false
+  Option.get (Bisa_timing.Pipeline.Conv.Artifact.code (micro ()).conv_art)
 
 let micro_block_code () =
-  match Bisa_timing.Pipeline.Block.Artifact.code (Pool.Once.force micro_block_art) with
-  | Some c -> c
-  | None -> assert false
+  Option.get (Bisa_timing.Pipeline.Block.Artifact.code (micro ()).block_art)
 
 (* One micro-benchmark kernel: a name, the closure Bechamel times, and the
    per-run work count (simulated ops for simulation kernels, dynamic
@@ -101,11 +106,11 @@ let kernels ~smoke () =
   in
   let conv_m cfg () =
     fst
-      (Bisa_timing.Pipeline.Conv.run_artifact cfg (Pool.Once.force micro_conv_art))
+      (Bisa_timing.Pipeline.Conv.run_artifact cfg (micro ()).conv_art)
   in
   let block_m cfg () =
     fst
-      (Bisa_timing.Pipeline.Block.run_artifact cfg (Pool.Once.force micro_block_art))
+      (Bisa_timing.Pipeline.Block.run_artifact cfg (micro ()).block_art)
   in
   let conv cfg =
     let run = conv_m cfg in
@@ -122,13 +127,13 @@ let kernels ~smoke () =
       {
         name = "table1_compile";
         fn = (fun () -> ignore (Bisa_compiler.Compiler.compile micro_source));
-        ops = Some (fun () -> Array.length (force_micro ()).conv.insns);
+        ops = Some (fun () -> Array.length (micro ()).compiled.conv.insns);
       };
       (* Table 2: functional execution (instruction counting). *)
       {
         name = "table2_functional_exec";
-        fn = (fun () -> ignore (Bisa_sim.Conv_exec.run (force_micro ()).conv ()));
-        ops = Some (fun () -> snd (Bisa_sim.Conv_exec.run (force_micro ()).conv ()));
+        fn = (fun () -> ignore (Bisa_sim.Conv_exec.run (micro ()).compiled.conv ()));
+        ops = Some (fun () -> snd (Bisa_sim.Conv_exec.run (micro ()).compiled.conv ()));
       };
       (* The same functional runs under the threaded-code backend; the
          interpreter kernel above stays so the smoke ratio check (and

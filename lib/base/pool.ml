@@ -164,38 +164,3 @@ let map_list t f xs =
   end
 
 let map_reduce t ~map ~reduce ~init xs = List.fold_left reduce init (map_list t map xs)
-
-module Once = struct
-  type 'a once_state =
-    | Unforced of (unit -> 'a)
-    | Forced of 'a
-    | Failed of exn * Printexc.raw_backtrace
-
-  type 'a cell = { om : Mutex.t; mutable ost : 'a once_state }
-
-  let make f = { om = Mutex.create (); ost = Unforced f }
-
-  (* The mutex is held across the computation: concurrent forcers block
-     until the single evaluation settles the cell. *)
-  let force c =
-    Mutex.lock c.om;
-    match c.ost with
-    | Forced v ->
-      Mutex.unlock c.om;
-      v
-    | Failed (e, bt) ->
-      Mutex.unlock c.om;
-      Printexc.raise_with_backtrace e bt
-    | Unforced f -> begin
-      match f () with
-      | v ->
-        c.ost <- Forced v;
-        Mutex.unlock c.om;
-        v
-      | exception e ->
-        let bt = Printexc.get_raw_backtrace () in
-        c.ost <- Failed (e, bt);
-        Mutex.unlock c.om;
-        Printexc.raise_with_backtrace e bt
-    end
-end

@@ -61,17 +61,3 @@ val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
 val map_reduce : t -> map:('a -> 'b) -> reduce:('c -> 'b -> 'c) -> init:'c -> 'a list -> 'c
 (** Parallel map, then an in-order sequential left fold — deterministic
     even when [reduce] is not commutative. *)
-
-(** {1 Once cells}
-
-    A domain-safe replacement for [lazy] (plain [Lazy.force] raises
-    [Lazy.Undefined] under concurrent forcing on OCaml 5): the thunk
-    runs exactly once, concurrent forcers block until it settles, and an
-    exception poisons the cell for every later forcer. *)
-
-module Once : sig
-  type 'a cell
-
-  val make : (unit -> 'a) -> 'a cell
-  val force : 'a cell -> 'a
-end

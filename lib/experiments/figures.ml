@@ -53,11 +53,13 @@ let table2 h =
   let counts =
     Pool.map_list (Harness.pool h)
       (fun (w : Workloads.t) ->
-        (* Stepped packet by packet on the memo's code: the run-to-halt
-           chains ([Compile.Conv.run]) would be built into the shared
-           code and stay live for the whole report. *)
-        let x = Bisa_sim.Conv_exec.create (Harness.compiled h w).conv in
-        let ce = Bisa_sim.Compile.Conv.bind (Harness.code_conv h w) x in
+        (* Stepped packet by packet on the artifact's code: the
+           run-to-halt chains ([Compile.Conv.run]) would be built into
+           the shared code and stay live for the whole report. *)
+        let art = Harness.artifact_conv h w in
+        let code = Option.get (Bisa_timing.Pipeline.Conv.Artifact.code art) in
+        let x = Bisa_sim.Conv_exec.create (Bisa_timing.Pipeline.Conv.Artifact.prog art) in
+        let ce = Bisa_sim.Compile.Conv.bind code x in
         while Bisa_sim.Compile.Conv.step_into ce do
           ()
         done;

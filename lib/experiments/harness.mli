@@ -10,10 +10,11 @@
     sweep uses 2/4/8KB for the paper's 16/32/64KB.  [paper_caches] selects
     the literal sizes instead.
 
-    Concurrency (DESIGN.md section 9): both caches are mutex-protected
-    with exactly-once fill semantics — N domains requesting the same
-    (benchmark, config) cell block on one in-flight computation rather
-    than repeating it — so experiment grids may call [run_conv] /
+    Concurrency (DESIGN.md section 9): every memo here (compiled
+    workloads, artifacts, timing runs) is a {!Bisa_base.Memo} with
+    exactly-once fill — N domains requesting the same (benchmark,
+    config) cell block on one in-flight computation rather than
+    repeating it — so experiment grids may call [run_conv] /
     [run_block] from any pool worker. *)
 
 type t
@@ -28,8 +29,8 @@ val create :
 (** [pool] (default {!Bisa_base.Pool.sequential}) is the worker pool the
     experiment modules fan work out on; pass one pool per CLI run.
     Every harness-routed timing run executes its program as threaded
-    code ({!Bisa_sim.Compile}), compiled once per program and shared
-    like the predecode tables.  [campaign] makes every harness-routed
+    code ({!Bisa_sim.Compile}), compiled once per program as part of
+    its artifact.  [campaign] makes every harness-routed
     timing run crash-safe and resumable (see {!Campaign}); without it
     runs are in-memory only. *)
 
@@ -53,30 +54,16 @@ val pool : t -> Bisa_base.Pool.t
 
 val compiled : t -> Bisa_workloads.Workloads.t -> Bisa_compiler.Compiler.compiled
 
-val predecoded_conv : t -> Bisa_workloads.Workloads.t -> Bisa_timing.Predecode.t
-(** The workload's predecoded op-template table, built exactly once and
-    shared by every grid configuration (and worker domain) that simulates
-    it.  Fires the compute hook with ["predecode:<bench>/<isa>"]. *)
-
-val predecoded_block : t -> Bisa_workloads.Workloads.t -> Bisa_timing.Predecode.blocks
-
-val code_conv : t -> Bisa_workloads.Workloads.t -> Bisa_timing.Pipeline.Conv.code
-(** The workload's threaded-code form ({!Bisa_sim.Compile}), built
-    exactly once and shared like the predecode tables: every artifact
-    carries it, and {!Figures.table2} steps it to halt for the dynamic
-    instruction counts.  Forces the predecode memo first so verification
-    is discharged before the trusted compile.  Fires the compute hook
-    with ["compile-exec:<bench>/<isa>"]. *)
-
-val code_block : t -> Bisa_workloads.Workloads.t -> Bisa_timing.Pipeline.Block.code
-
 val artifact_conv :
   t -> Bisa_workloads.Workloads.t -> Bisa_timing.Pipeline.Conv.artifact
-(** The workload's prepared artifact bundle — program witness, memoized
-    predecode tables, memoized threaded code and content hash — built
-    exactly once and shared like the pieces it bundles.  Fires the
-    compute hook with ["artifact:<bench>/<isa>"].  This is the value
-    every timing run, campaign cell and checkpoint consumes. *)
+(** The workload's prepared artifact bundle ({!Bisa_timing.Pipeline.S.prepare}
+    of its compiled program: verified witness, predecode tables,
+    threaded code and content hash), built exactly once and shared by
+    every grid configuration and worker domain that simulates it.
+    Fires the compute hook with ["artifact:<bench>/<isa>"].  This is the
+    value every timing run, campaign cell and checkpoint consumes, and
+    {!Figures.table2} steps its code to halt for the dynamic instruction
+    counts. *)
 
 val artifact_block :
   t -> Bisa_workloads.Workloads.t -> Bisa_timing.Pipeline.Block.artifact
@@ -103,9 +90,10 @@ val run_block :
 
 val set_compute_hook : t -> (string -> unit) -> unit
 (** Observe cache misses: the hook fires exactly once per distinct cell,
-    before the computation runs, with ["compile:<bench>"],
-    ["predecode:<bench>/<isa>"], ["compile-exec:<bench>/<isa>"],
-    ["artifact:<bench>/<isa>"] or ["run:<bench>/<isa>"].  Used by the
+    inside the memo's computation and before its work, with
+    ["compile:<bench>"], ["artifact:<bench>/<isa>"] or
+    ["run:<bench>/<isa>"].  A failed computation is not cached, so its
+    retry fires the hook again.  Used by the
     thread-safety tests and the benchmark's per-cell timings; defaults
     to [ignore]. *)
 

@@ -1,24 +1,30 @@
 (* The bisad request engine: every request the daemon serves lands here,
    against a content-addressed artifact cache.
 
-   Three cache layers, all exactly-once under concurrency (the Harness
-   memo-cell discipline — one requester computes, the rest block on the
-   cell), all keyed by content, never by name:
+   Three cache layers, each a Bisa_base.Memo (exactly-once under
+   concurrency: one requester computes, the rest block on the entry; a
+   failure is never cached), all keyed by content, never by name:
 
      - compiled MiniC     keyed by the source hash
      - prepared artifacts keyed by (program hash, exec backend) — the
                           Pipeline.Artifact bundle: verified witness,
                           predecode tables, optional threaded code
      - finished results   keyed by program hash x Config.fingerprint x
-                          exec backend x request shape (mode, out_cap)
+                          exec backend x request shape (mode, out_cap),
+                          FIFO-capped at [result_cap] filled entries
 
-   Trust is decided once, at artifact preparation ([Pipeline.prepare]
-   runs the verifier); replays are pure, which is what makes the result
-   cache sound.  Finished results are additionally spooled to disk
-   through Atomic_file, so a SIGKILL loses only in-flight requests: the
-   next start reloads every finished response byte-identically. *)
+   One compute path: a Simulate or Cell miss is a suspended run.  The
+   server loop steps it in bounded slices ([start]/[step_job]); [handle]
+   builds the very same run and finishes it at once inside the result
+   memo.  Trust is decided once, at artifact preparation
+   ([Pipeline.prepare] runs the verifier); replays are pure, which is
+   what makes the result cache sound.  Finished results are additionally
+   spooled to disk through Atomic_file, so a SIGKILL loses only
+   in-flight requests: the next start reloads every finished response
+   byte-identically. *)
 
 module Pool = Bisa_base.Pool
+module Memo = Bisa_base.Memo
 module Diag = Bisa_base.Diag
 module Codec = Bisa_base.Codec
 module Pipeline = Bisa_timing.Pipeline
@@ -93,46 +99,15 @@ let read_entry s =
   in
   (key, { prog_hash; payload })
 
-(* --- memo cells (the Harness discipline) -------------------------------- *)
-
-type 'a cell_state = Busy | Ready of 'a | Poisoned of exn * Printexc.raw_backtrace
-type 'a cell = { cm : Mutex.t; cc : Condition.t; mutable state : 'a cell_state }
-
-let wait_cell cell =
-  Mutex.lock cell.cm;
-  let rec go () =
-    match cell.state with
-    | Busy ->
-      Condition.wait cell.cc cell.cm;
-      go ()
-    | Ready v ->
-      Mutex.unlock cell.cm;
-      v
-    | Poisoned (e, bt) ->
-      Mutex.unlock cell.cm;
-      Printexc.raise_with_backtrace e bt
-  in
-  go ()
-
-let fill_cell cell state =
-  Mutex.lock cell.cm;
-  cell.state <- state;
-  Condition.broadcast cell.cc;
-  Mutex.unlock cell.cm
-
 type t = {
   pool : Pool.t;
   spool_dir : string option;
-  result_cap : int;
-  lock : Mutex.t;  (* guards the tables and counters, never a computation *)
-  compiled : (int64, Bisa_compiler.Compiler.compiled cell) Hashtbl.t;
-  bench_compiled : (string, Bisa_compiler.Compiler.compiled cell) Hashtbl.t;
-  conv_arts : (int64 * Bisa_sim.Compile.backend, Pipeline.Conv.artifact cell) Hashtbl.t;
-  block_arts :
-    (int64 * Bisa_sim.Compile.backend, Pipeline.Block.artifact cell) Hashtbl.t;
-  results : (string, entry cell) Hashtbl.t;
-  (* Insertion order of Ready results, for FIFO eviction at [result_cap]. *)
-  order : string Queue.t;
+  lock : Mutex.t;  (* guards the counters, never a computation *)
+  compiled : (int64, Bisa_compiler.Compiler.compiled) Memo.t;
+  bench_compiled : (string, Bisa_compiler.Compiler.compiled) Memo.t;
+  conv_arts : (int64 * Bisa_sim.Compile.backend, Pipeline.Conv.artifact) Memo.t;
+  block_arts : (int64 * Bisa_sim.Compile.backend, Pipeline.Block.artifact) Memo.t;
+  results : (string, entry) Memo.t;
   mutable served : int;
   mutable sim_hits : int;
   mutable sim_misses : int;
@@ -143,34 +118,10 @@ type t = {
   log : Diag.t -> unit;
 }
 
-let hit t =
+let count t ~cached =
   Mutex.lock t.lock;
-  t.sim_hits <- t.sim_hits + 1;
+  if cached then t.sim_hits <- t.sim_hits + 1 else t.sim_misses <- t.sim_misses + 1;
   Mutex.unlock t.lock
-
-let miss t =
-  Mutex.lock t.lock;
-  t.sim_misses <- t.sim_misses + 1;
-  Mutex.unlock t.lock
-
-let memoize t table key ~compute =
-  Mutex.lock t.lock;
-  match Hashtbl.find_opt table key with
-  | Some cell ->
-    Mutex.unlock t.lock;
-    wait_cell cell
-  | None ->
-    let cell = { cm = Mutex.create (); cc = Condition.create (); state = Busy } in
-    Hashtbl.add table key cell;
-    Mutex.unlock t.lock;
-    (match compute () with
-    | v ->
-      fill_cell cell (Ready v);
-      v
-    | exception e ->
-      let bt = Printexc.get_raw_backtrace () in
-      fill_cell cell (Poisoned (e, bt));
-      Printexc.raise_with_backtrace e bt)
 
 (* --- construction and the spool ----------------------------------------- *)
 
@@ -180,17 +131,9 @@ let mkdir_p path =
 
 let spool_path dir key = Filename.concat dir (Codec.hash_hex key ^ ".resp")
 
-let note_result t key entry =
-  (* Called with the result freshly computed: record it for eviction and
-     spool it.  The spool write is atomic, so a kill at any instant
-     leaves either the whole file or nothing. *)
-  Mutex.lock t.lock;
-  Queue.push key t.order;
-  if Queue.length t.order > t.result_cap then begin
-    let victim = Queue.pop t.order in
-    Hashtbl.remove t.results victim
-  end;
-  Mutex.unlock t.lock;
+(* Write a freshly computed result to the spool.  The write is atomic,
+   so a kill at any instant leaves either the whole file or nothing. *)
+let spool t key entry =
   match t.spool_dir with
   | None -> ()
   | Some dir ->
@@ -213,13 +156,7 @@ let load_spool t dir =
           close_in ic;
           read_entry s
         with
-        | key, entry ->
-          if not (Hashtbl.mem t.results key) then begin
-            Hashtbl.add t.results key
-              { cm = Mutex.create (); cc = Condition.create (); state = Ready entry };
-            Queue.push key t.order;
-            t.spooled <- t.spooled + 1
-          end
+        | key, entry -> if Memo.insert t.results key entry then t.spooled <- t.spooled + 1
         | exception e ->
           (* A foreign, stale or externally-corrupted file; atomic writes
              mean it cannot be a torn one of ours.  Skip it, but loudly:
@@ -244,14 +181,12 @@ let create ?(pool = Pool.sequential) ?spool_dir ?(result_cap = 4096)
     {
       pool;
       spool_dir;
-      result_cap;
       lock = Mutex.create ();
-      compiled = Hashtbl.create 64;
-      bench_compiled = Hashtbl.create 16;
-      conv_arts = Hashtbl.create 64;
-      block_arts = Hashtbl.create 64;
-      results = Hashtbl.create 256;
-      order = Queue.create ();
+      compiled = Memo.create ();
+      bench_compiled = Memo.create ();
+      conv_arts = Memo.create ();
+      block_arts = Memo.create ();
+      results = Memo.create ~cap:result_cap ();
       served = 0;
       sim_hits = 0;
       sim_misses = 0;
@@ -292,14 +227,16 @@ let vm_hwm_kb () =
     go ()
 
 let stats t : Proto.stats =
+  let artifacts = Memo.length t.conv_arts + Memo.length t.block_arts in
+  let results = Memo.length t.results in
   Mutex.lock t.lock;
   let s =
     {
       Proto.served = t.served;
       sim_hits = t.sim_hits;
       sim_misses = t.sim_misses;
-      artifacts = Hashtbl.length t.conv_arts + Hashtbl.length t.block_arts;
-      results = Hashtbl.length t.results;
+      artifacts;
+      results;
       spooled = t.spooled;
       spool_skipped = t.spool_skipped;
       inflight_peak = t.inflight_peak;
@@ -318,7 +255,7 @@ let src_hash = function
   | Proto.Block_bin b -> Codec.fnv1a64 ("bbin:" ^ b)
 
 let compile_source t ~src ~libs =
-  memoize t t.compiled (src_hash (Proto.Source { src; libs })) ~compute:(fun () ->
+  Memo.find_or_compute t.compiled (src_hash (Proto.Source { src; libs })) (fun () ->
       Bisa_compiler.Compiler.compile ~library_funcs:libs src)
 
 let conv_prog t (src : Proto.prog_src) =
@@ -338,16 +275,18 @@ let block_prog t (src : Proto.prog_src) =
                           a conventional binary"
 
 (* Artifact preparation is the trust boundary: [prepare] verifies, and
-   the memo makes that a per-(program, backend) one-time event.  The
-   verification rejection is poisoned into the cell, so repeat requests
-   for a bad program fail fast without re-verifying. *)
+   the memo makes that a per-(program, backend) one-time event for every
+   program that passes.  A rejection is not cached: a bad program costs
+   one verification per request, and holds no memory afterwards. *)
 let conv_artifact t ~exec prog =
   let h = Pipeline.Conv.prog_hash prog in
-  (h, memoize t t.conv_arts (h, exec) ~compute:(fun () -> Pipeline.Conv.prepare ~exec prog))
+  (h, Memo.find_or_compute t.conv_arts (h, exec) (fun () ->
+       Pipeline.Conv.prepare ~exec prog))
 
 let block_artifact t ~exec prog =
   let h = Pipeline.Block.prog_hash prog in
-  (h, memoize t t.block_arts (h, exec) ~compute:(fun () -> Pipeline.Block.prepare ~exec prog))
+  (h, Memo.find_or_compute t.block_arts (h, exec) (fun () ->
+       Pipeline.Block.prepare ~exec prog))
 
 (* --- verification ------------------------------------------------------- *)
 
@@ -378,38 +317,7 @@ let sim_key ~what ~isa ~prog_hash ~cfg ~exec ~mode ~out_cap =
     (match mode with Proto.Timing -> "timing" | Proto.Functional -> "functional")
     (match out_cap with None -> "full" | Some n -> string_of_int n)
 
-let find_result t key =
-  Mutex.lock t.lock;
-  let cell = Hashtbl.find_opt t.results key in
-  Mutex.unlock t.lock;
-  Option.map wait_cell cell
-
-let compute_result t key ~compute =
-  let fresh = ref false in
-  let entry =
-    memoize t t.results key ~compute:(fun () ->
-        fresh := true;
-        let e = compute () in
-        e)
-  in
-  if !fresh then note_result t key entry;
-  (entry, not !fresh)
-
-(* Record a result computed outside the memo discipline (a sliced job
-   sealed by the server loop).  If the key is already present — a Batch
-   worker raced the same computation through [compute_result] — that path
-   owns the bookkeeping and this insert is dropped; both computed the
-   same pure replay, so nothing is lost. *)
-let insert_result t key entry =
-  Mutex.lock t.lock;
-  let fresh = not (Hashtbl.mem t.results key) in
-  if fresh then
-    Hashtbl.add t.results key
-      { cm = Mutex.create (); cc = Condition.create (); state = Ready entry };
-  Mutex.unlock t.lock;
-  if fresh then note_result t key entry
-
-(* --- request handlers ---------------------------------------------------- *)
+(* --- the one compute path ------------------------------------------------ *)
 
 module type FUNC_EXEC = sig
   type t
@@ -422,9 +330,7 @@ module type FUNC_EXEC = sig
   val trap : t -> Diag.t option
 
   val stepper : Bisa_sim.Compile.backend -> t -> unit -> bool
-  (** One fetch-unit step under the chosen backend; [false] once halted.
-      The suspendable form both the synchronous path and the server
-      loop's bounded slices drive. *)
+  (** One fetch-unit step under the chosen backend; [false] once halted. *)
 end
 
 let func_conv prog : (module FUNC_EXEC) =
@@ -471,33 +377,65 @@ let func_block prog : (module FUNC_EXEC) =
         fun () -> C.step ce <> None
   end)
 
-let seal_functional (type s) (module E : FUNC_EXEC with type t = s) (e : s) =
-  let out = E.output e in
-  let notes =
-    match E.trap e with None -> "" | Some d -> Diag.render d ^ "\n"
-  in
-  Fun_r
-    {
-      out = Bisa_sim.Output.to_string out;
-      ops = E.ops e;
-      ret = out.Bisa_sim.Output.ret;
-      notes;
-    }
+(* A simulation built but not yet finished.  [step n] retires up to [n]
+   more dynamic operations and says whether the machine halted;
+   [finish] runs whatever is left at once and returns the entry to
+   cache.  The server loop slices a run; [handle] only finishes it. *)
+type run = { step : int -> bool; finish : unit -> entry; ops : unit -> int }
 
-let run_functional ~budget ~out_cap ~exec (module E : FUNC_EXEC) =
+let functional_run (module E : FUNC_EXEC) ~exec ~budget ~out_cap ~prog_hash =
   let e = E.create () in
   E.set_budget e budget;
   Option.iter (E.set_out_cap e) out_cap;
   let step = E.stepper exec e in
-  let rec go () = if step () then go () in
-  go ();
-  seal_functional (module E) e
+  (* A halted machine steps as a no-op, so [finish] after the last slice
+     only seals. *)
+  let rec go target = if step () then E.ops e < target && go target else true in
+  {
+    step = (fun n -> go (E.ops e + n));
+    finish =
+      (fun () ->
+        ignore (go max_int);
+        let out = E.output e in
+        let notes = match E.trap e with None -> "" | Some d -> Diag.render d ^ "\n" in
+        {
+          prog_hash;
+          payload =
+            Fun_r
+              {
+                out = Bisa_sim.Output.to_string out;
+                ops = E.ops e;
+                ret = out.Bisa_sim.Output.ret;
+                notes;
+              };
+        });
+    ops = (fun () -> E.ops e);
+  }
 
-let functional_conv prog ~budget ~out_cap ~exec =
-  run_functional ~budget ~out_cap ~exec (func_conv prog)
+(* A timing run finishes through [P.finish], the same call
+   [P.run_artifact] makes, so an unsliced run costs what it always did. *)
+let timing_run (type p a) t
+    (module P : Pipeline.S with type prog = p and type artifact = a) ~config ~out_cap
+    (art : a) ~seal =
+  let session = P.session_artifact ?probe:(t.probe ()) config art in
+  Option.iter (P.set_out_cap session) out_cap;
+  let rec go target =
+    if P.step session then P.ops session < target && go target else true
+  in
+  {
+    step = (fun n -> go (P.ops session + n));
+    finish = (fun () -> seal (P.finish session));
+    ops = (fun () -> P.ops session);
+  }
 
-let functional_block prog ~budget ~out_cap ~exec =
-  run_functional ~budget ~out_cap ~exec (func_block prog)
+(* A [Simulate] or [Cell] request resolved to its result-cache key: how
+   to render a cached entry, and how to build the run on a miss.
+   Building may fail (a verification rejection) as well as running. *)
+type plan = {
+  key : string;
+  render : cached:bool -> entry -> Proto.response;
+  build : unit -> run;
+}
 
 let render_sim ~show_output ~cached ~prog_hash = function
   | Fun_r { out; ops; ret; notes } ->
@@ -518,59 +456,48 @@ let render_sim ~show_output ~cached ~prog_hash = function
       }
   | Cell_r _ -> assert false
 
-let simulate (type p a) t
+let plan_simulate (type p a) t
     (module P : Pipeline.S with type prog = p and type artifact = a)
     ~(artifact : exec:Bisa_sim.Compile.backend -> p -> int64 * a)
-    ~(functional :
-       p -> budget:int -> out_cap:int option -> exec:Bisa_sim.Compile.backend -> payload)
-    (prog : p) ~mode ~exec ~(cfg : Proto.sim_cfg) ~show_output =
+    ~(functional : p -> (module FUNC_EXEC)) (prog : p) ~mode ~exec
+    ~(cfg : Proto.sim_cfg) ~show_output =
   let config = Proto.to_config cfg in
   let prog_hash = P.prog_hash prog in
-  let key =
-    sim_key ~what:"sim" ~isa:P.isa ~prog_hash ~cfg:config ~exec ~mode
-      ~out_cap:cfg.out_cap
-  in
-  match find_result t key with
-  | Some entry ->
-    Mutex.lock t.lock;
-    t.sim_hits <- t.sim_hits + 1;
-    Mutex.unlock t.lock;
-    render_sim ~show_output ~cached:true ~prog_hash:entry.prog_hash entry.payload
-  | None ->
-    let entry, raced =
-      compute_result t key ~compute:(fun () ->
-          let payload =
-            match mode with
-            | Proto.Functional ->
-              (* The functional path has no artifact to hide behind, so
-                 verification is discharged explicitly, exactly as the
-                 one-shot CLI does before running. *)
-              (match P.verify prog with
-              | [] -> ()
-              | ds -> reject "program" ds);
-              functional prog ~budget:cfg.budget ~out_cap:cfg.out_cap ~exec
-            | Proto.Timing ->
-              let _, art = artifact ~exec prog in
-              let m, out =
-                P.run_artifact ?probe:(t.probe ()) ?out_cap:cfg.out_cap config art
-              in
+  let build () =
+    match mode with
+    | Proto.Functional ->
+      (* The functional path has no artifact to hide behind, so
+         verification is discharged explicitly, exactly as the one-shot
+         CLI does before running. *)
+      (match P.verify prog with [] -> () | ds -> reject "program" ds);
+      functional_run (functional prog) ~exec ~budget:cfg.budget ~out_cap:cfg.out_cap
+        ~prog_hash
+    | Proto.Timing ->
+      let _, art = artifact ~exec prog in
+      timing_run t (module P) ~config ~out_cap:cfg.out_cap art ~seal:(fun (m, out) ->
+          {
+            prog_hash;
+            payload =
               Tim_r
                 {
                   out = Bisa_sim.Output.to_string out;
                   summary = Metrics.summary ~name:P.descr m;
-                }
-          in
-          { prog_hash; payload })
-    in
-    Mutex.lock t.lock;
-    if raced then t.sim_hits <- t.sim_hits + 1 else t.sim_misses <- t.sim_misses + 1;
-    Mutex.unlock t.lock;
-    render_sim ~show_output ~cached:raced ~prog_hash:entry.prog_hash entry.payload
+                };
+          })
+  in
+  {
+    key =
+      sim_key ~what:"sim" ~isa:P.isa ~prog_hash ~cfg:config ~exec ~mode
+        ~out_cap:cfg.out_cap;
+    render =
+      (fun ~cached e -> render_sim ~show_output ~cached ~prog_hash:e.prog_hash e.payload);
+    build;
+  }
 
 let bench_key ~bench ~scale =
   bench ^ "@" ^ (match scale with None -> "default" | Some n -> string_of_int n)
 
-let cell t ~bench ~scale ~isa ~exec ~(cfg : Proto.sim_cfg) =
+let plan_cell t ~bench ~scale ~isa ~exec ~(cfg : Proto.sim_cfg) =
   let w =
     match Bisa_workloads.Workloads.find bench with
     | w -> w
@@ -578,50 +505,72 @@ let cell t ~bench ~scale ~isa ~exec ~(cfg : Proto.sim_cfg) =
       Diag.fail ~component "no such workload: %s (workloads: %s)" bench
         (String.concat " " Bisa_workloads.Workloads.names)
   in
+  let what = bench_key ~bench ~scale in
   let compiled =
-    memoize t t.bench_compiled (bench_key ~bench ~scale) ~compute:(fun () ->
+    Memo.find_or_compute t.bench_compiled what (fun () ->
         match scale with
         | Some scale -> Bisa_workloads.Workloads.compile ~scale w
         | None -> Bisa_workloads.Workloads.compile w)
   in
   let config = Proto.to_config cfg in
-  let run (type p a) (module P : Pipeline.S with type prog = p and type artifact = a)
+  let plan (type p a) (module P : Pipeline.S with type prog = p and type artifact = a)
       ~(artifact : exec:Bisa_sim.Compile.backend -> p -> int64 * a) (prog : p) =
     let prog_hash, art = artifact ~exec prog in
-    let key =
-      sim_key
-        ~what:(bench_key ~bench ~scale)
-        ~isa:P.isa ~prog_hash ~cfg:config ~exec ~mode:Proto.Timing
-        ~out_cap:cfg.out_cap
-    in
-    match find_result t key with
-    | Some entry -> (entry, true)
-    | None ->
-      compute_result t key ~compute:(fun () ->
-          let m, _out =
-            P.run_artifact ?probe:(t.probe ()) ?out_cap:cfg.out_cap config art
-          in
-          {
-            prog_hash;
-            payload =
-              Cell_r { summary = Metrics.summary ~name:(bench ^ "/" ^ P.isa) m };
-          })
+    {
+      key =
+        sim_key ~what ~isa:P.isa ~prog_hash ~cfg:config ~exec ~mode:Proto.Timing
+          ~out_cap:cfg.out_cap;
+      render =
+        (fun ~cached e ->
+          match e.payload with
+          | Cell_r { summary } ->
+            Proto.Cell_done { summary; prog_hash = e.prog_hash; cached }
+          | Fun_r _ | Tim_r _ ->
+            Diag.fail ~component "cell cache entry has a simulate payload (key clash)");
+      build =
+        (fun () ->
+          timing_run t (module P) ~config ~out_cap:cfg.out_cap art ~seal:(fun (m, _out) ->
+              {
+                prog_hash;
+                payload =
+                  Cell_r { summary = Metrics.summary ~name:(bench ^ "/" ^ P.isa) m };
+              }));
+    }
   in
-  let entry, cached =
-    match isa with
-    | Proto.Conv ->
-      run (module Pipeline.Conv) ~artifact:(conv_artifact t) compiled.conv
-    | Proto.Block ->
-      run (module Pipeline.Block) ~artifact:(block_artifact t) compiled.block
+  match isa with
+  | Proto.Conv -> plan (module Pipeline.Conv) ~artifact:(conv_artifact t) compiled.conv
+  | Proto.Block -> plan (module Pipeline.Block) ~artifact:(block_artifact t) compiled.block
+
+let plan t (req : Proto.request) =
+  match req with
+  | Proto.Simulate { src; isa = Proto.Conv; mode; exec; cfg; show_output } ->
+    plan_simulate t
+      (module Pipeline.Conv)
+      ~artifact:(conv_artifact t) ~functional:func_conv (conv_prog t src) ~mode ~exec
+      ~cfg ~show_output
+  | Proto.Simulate { src; isa = Proto.Block; mode; exec; cfg; show_output } ->
+    plan_simulate t
+      (module Pipeline.Block)
+      ~artifact:(block_artifact t) ~functional:func_block (block_prog t src) ~mode
+      ~exec ~cfg ~show_output
+  | Proto.Cell { bench; scale; isa; exec; cfg } -> plan_cell t ~bench ~scale ~isa ~exec ~cfg
+  | _ -> invalid_arg "Engine.plan: not a Simulate or Cell request"
+
+(* The run driven to completion inside the result memo: concurrent
+   identical requests (a [Batch] across the pool) collapse onto one
+   computation, and a failure caches nothing. *)
+let complete t p =
+  let fresh = ref false in
+  let entry =
+    Memo.find_or_compute t.results p.key (fun () ->
+        fresh := true;
+        (p.build ()).finish ())
   in
-  Mutex.lock t.lock;
-  if cached then t.sim_hits <- t.sim_hits + 1 else t.sim_misses <- t.sim_misses + 1;
-  Mutex.unlock t.lock;
-  match entry.payload with
-  | Cell_r { summary } ->
-    Proto.Cell_done { summary; prog_hash = entry.prog_hash; cached }
-  | Fun_r _ | Tim_r _ ->
-    Diag.fail ~component "cell cache entry has a simulate payload (key clash)"
+  if !fresh then spool t p.key entry;
+  count t ~cached:(not !fresh);
+  p.render ~cached:(not !fresh) entry
+
+(* --- request handlers ---------------------------------------------------- *)
 
 (* Every failure a request can legitimately produce becomes a structured
    Err response; the connection (and the daemon) survives. *)
@@ -647,10 +596,13 @@ let guard f =
   | resp -> resp
   | exception e -> (match err_of_exn e with Some r -> r | None -> raise e)
 
-let handle_one t (req : Proto.request) : Proto.response =
+let note_served t =
   Mutex.lock t.lock;
   t.served <- t.served + 1;
-  Mutex.unlock t.lock;
+  Mutex.unlock t.lock
+
+let handle_one t (req : Proto.request) : Proto.response =
+  note_served t;
   guard @@ fun () ->
   match req with
   | Proto.Ping -> Proto.Pong { server = Proto.version }
@@ -675,17 +627,7 @@ let handle_one t (req : Proto.request) : Proto.response =
       | Proto.Block_bin _ -> Pipeline.Block.verify (block_prog t src)
     in
     Proto.Verdict { diags }
-  | Proto.Simulate { src; isa = Proto.Conv; mode; exec; cfg; show_output } ->
-    simulate t
-      (module Pipeline.Conv)
-      ~artifact:(conv_artifact t) ~functional:functional_conv (conv_prog t src)
-      ~mode ~exec ~cfg ~show_output
-  | Proto.Simulate { src; isa = Proto.Block; mode; exec; cfg; show_output } ->
-    simulate t
-      (module Pipeline.Block)
-      ~artifact:(block_artifact t) ~functional:functional_block (block_prog t src)
-      ~mode ~exec ~cfg ~show_output
-  | Proto.Cell { bench; scale; isa; exec; cfg } -> cell t ~bench ~scale ~isa ~exec ~cfg
+  | Proto.Simulate _ | Proto.Cell _ -> complete t (plan t req)
   | Proto.Batch _ ->
     Diag.fail ~component "Batch must be handled by the dispatcher, not handle_one"
 
@@ -697,184 +639,49 @@ let handle t (req : Proto.request) : Proto.response =
   | Proto.Batch reqs -> Proto.Batch_r (Pool.map_list t.pool (handle_one t) reqs)
   | req -> handle_one t req
 
-(* --- sliced jobs: the cooperative form of Simulate and Cell -------------- *)
+(* --- sliced jobs: the same runs, stepped by the server loop -------------- *)
 
-(* A simulation the server loop advances in bounded slices between select
-   rounds, so one paper-scale request never monopolizes the daemon.  The
-   closures own the suspended executor or pipeline session; [jstep n]
-   retires up to [n] more dynamic operations and says whether the machine
-   halted, [jseal] finalizes, caches and renders — exactly the bytes the
-   synchronous path would have produced, since both end in the same
-   render helpers over the same payload. *)
-type job = {
-  jkey : string;  (** the result-cache key; the server dedups waiters on it *)
-  jstep : int -> bool;
-  jseal : unit -> Proto.response;
-  jops : unit -> int;
-  mutable jdone : bool;
-}
-
+(* A run the server loop advances in bounded slices between select
+   rounds, so one paper-scale request never monopolizes the daemon.
+   [seal] finishes the halted run, caches, spools and renders it: the
+   bytes [handle] would have produced, since both render the same entry
+   the same plan builds.  Abandoning a job is just dropping it — the
+   suspended run holds no lock, no memo entry and no spool state. *)
+type job = { run : run; seal : unit -> Proto.response }
 type started = Done of Proto.response | Job of job
 
-let job_key j = j.jkey
-let job_ops j = j.jops ()
-
-let session_job (type p a) t
-    (module P : Pipeline.S with type prog = p and type artifact = a) ~config
-    ~out_cap ~key (art : a) ~seal =
-  let session = P.session_artifact ?probe:(t.probe ()) config art in
-  Option.iter (P.set_out_cap session) out_cap;
-  let jstep n =
-    let target = P.ops session + n in
-    let rec go () =
-      if P.step session then if P.ops session < target then go () else false
-      else true
-    in
-    go ()
-  in
-  Job
-    {
-      jkey = key;
-      jstep;
-      jseal = (fun () -> seal (P.finish session));
-      jops = (fun () -> P.ops session);
-      jdone = false;
-    }
-
-let simulate_start (type p a) t
-    (module P : Pipeline.S with type prog = p and type artifact = a)
-    ~(artifact : exec:Bisa_sim.Compile.backend -> p -> int64 * a)
-    ~(functional : p -> (module FUNC_EXEC)) (prog : p) ~mode ~exec
-    ~(cfg : Proto.sim_cfg) ~show_output =
-  let config = Proto.to_config cfg in
-  let prog_hash = P.prog_hash prog in
-  let key =
-    sim_key ~what:"sim" ~isa:P.isa ~prog_hash ~cfg:config ~exec ~mode
-      ~out_cap:cfg.out_cap
-  in
-  match find_result t key with
-  | Some entry ->
-    hit t;
-    Done (render_sim ~show_output ~cached:true ~prog_hash:entry.prog_hash entry.payload)
-  | None -> (
-    match mode with
-    | Proto.Functional ->
-      (match P.verify prog with [] -> () | ds -> reject "program" ds);
-      let (module E) = functional prog in
-      let e = E.create () in
-      E.set_budget e cfg.budget;
-      Option.iter (E.set_out_cap e) cfg.out_cap;
-      let step = E.stepper exec e in
-      let jstep n =
-        let target = E.ops e + n in
-        let rec go () =
-          if step () then if E.ops e < target then go () else false else true
-        in
-        go ()
-      in
-      Job
-        {
-          jkey = key;
-          jstep;
-          jseal =
-            (fun () ->
-              let payload = seal_functional (module E) e in
-              insert_result t key { prog_hash; payload };
-              miss t;
-              render_sim ~show_output ~cached:false ~prog_hash payload);
-          jops = (fun () -> E.ops e);
-          jdone = false;
-        }
-    | Proto.Timing ->
-      let _, art = artifact ~exec prog in
-      session_job t
-        (module P)
-        ~config ~out_cap:cfg.out_cap ~key art
-        ~seal:(fun (m, out) ->
-          let payload =
-            Tim_r
-              {
-                out = Bisa_sim.Output.to_string out;
-                summary = Metrics.summary ~name:P.descr m;
-              }
-          in
-          insert_result t key { prog_hash; payload };
-          miss t;
-          render_sim ~show_output ~cached:false ~prog_hash payload))
-
-let cell_start t ~bench ~scale ~isa ~exec ~(cfg : Proto.sim_cfg) =
-  let w =
-    match Bisa_workloads.Workloads.find bench with
-    | w -> w
-    | exception Invalid_argument _ ->
-      Diag.fail ~component "no such workload: %s (workloads: %s)" bench
-        (String.concat " " Bisa_workloads.Workloads.names)
-  in
-  let compiled =
-    memoize t t.bench_compiled (bench_key ~bench ~scale) ~compute:(fun () ->
-        match scale with
-        | Some scale -> Bisa_workloads.Workloads.compile ~scale w
-        | None -> Bisa_workloads.Workloads.compile w)
-  in
-  let config = Proto.to_config cfg in
-  let run (type p a) (module P : Pipeline.S with type prog = p and type artifact = a)
-      ~(artifact : exec:Bisa_sim.Compile.backend -> p -> int64 * a) (prog : p) =
-    let prog_hash, art = artifact ~exec prog in
-    let key =
-      sim_key
-        ~what:(bench_key ~bench ~scale)
-        ~isa:P.isa ~prog_hash ~cfg:config ~exec ~mode:Proto.Timing
-        ~out_cap:cfg.out_cap
-    in
-    match find_result t key with
-    | Some entry -> (
-      hit t;
-      match entry.payload with
-      | Cell_r { summary } ->
-        Done (Proto.Cell_done { summary; prog_hash = entry.prog_hash; cached = true })
-      | Fun_r _ | Tim_r _ ->
-        Diag.fail ~component "cell cache entry has a simulate payload (key clash)")
-    | None ->
-      session_job t
-        (module P)
-        ~config ~out_cap:cfg.out_cap ~key art
-        ~seal:(fun (m, _out) ->
-          let summary = Metrics.summary ~name:(bench ^ "/" ^ P.isa) m in
-          insert_result t key { prog_hash; payload = Cell_r { summary } };
-          miss t;
-          Proto.Cell_done { summary; prog_hash; cached = false })
-  in
-  match isa with
-  | Proto.Conv -> run (module Pipeline.Conv) ~artifact:(conv_artifact t) compiled.conv
-  | Proto.Block -> run (module Pipeline.Block) ~artifact:(block_artifact t) compiled.block
+let job_ops j = j.run.ops ()
 
 (* [start] is what the server loop calls instead of [handle]: the
    long-running request shapes come back as suspendable jobs, everything
-   else (and every failure during job construction — a compile error, a
+   else (and every failure while building the job — a compile error, a
    verification rejection, an unknown workload) is answered on the
    spot.  A [Batch] is still scheduled as one synchronous unit across
    the worker pool; its sub-requests are not sliced. *)
 let start t (req : Proto.request) : started =
   match req with
   | Proto.Simulate _ | Proto.Cell _ -> (
-    Mutex.lock t.lock;
-    t.served <- t.served + 1;
-    Mutex.unlock t.lock;
+    note_served t;
     match
-      match req with
-      | Proto.Simulate { src; isa = Proto.Conv; mode; exec; cfg; show_output } ->
-        simulate_start t
-          (module Pipeline.Conv)
-          ~artifact:(conv_artifact t) ~functional:func_conv (conv_prog t src) ~mode
-          ~exec ~cfg ~show_output
-      | Proto.Simulate { src; isa = Proto.Block; mode; exec; cfg; show_output } ->
-        simulate_start t
-          (module Pipeline.Block)
-          ~artifact:(block_artifact t) ~functional:func_block (block_prog t src)
-          ~mode ~exec ~cfg ~show_output
-      | Proto.Cell { bench; scale; isa; exec; cfg } ->
-        cell_start t ~bench ~scale ~isa ~exec ~cfg
-      | _ -> assert false
+      let p = plan t req in
+      match Memo.find t.results p.key with
+      | Some entry ->
+        count t ~cached:true;
+        Done (p.render ~cached:true entry)
+      | None ->
+        let run = p.build () in
+        Job
+          {
+            run;
+            seal =
+              (fun () ->
+                let entry = run.finish () in
+                (* A [Batch] may have filled the key meanwhile; both
+                   computed the same pure replay, so nothing is lost. *)
+                if Memo.insert t.results p.key entry then spool t p.key entry;
+                count t ~cached:false;
+                p.render ~cached:false entry);
+          }
     with
     | started -> started
     | exception e -> (
@@ -883,22 +690,9 @@ let start t (req : Proto.request) : started =
 
 (* Advance one bounded slice.  A mid-flight failure (an op-budget runaway,
    a machine trap the executor surfaces as an exception) seals the job
-   with a structured [Err] and caches nothing — the same outcome the
-   synchronous path's guard would produce. *)
+   with a structured [Err] and caches nothing — the same outcome
+   [handle] produces. *)
 let step_job job ~slice_ops : [ `More | `Done of Proto.response ] =
-  match
-    if job.jstep slice_ops then begin
-      job.jdone <- true;
-      `Done (job.jseal ())
-    end
-    else `More
-  with
+  match if job.run.step slice_ops then `Done (job.seal ()) else `More with
   | r -> r
-  | exception e ->
-    job.jdone <- true;
-    (match err_of_exn e with Some r -> `Done r | None -> raise e)
-
-(* Abandoning a job (its last waiter's deadline expired, or its
-   connection died) is just dropping the closures: the suspended session
-   holds no locks, no cells, no spool state. *)
-let abort_job job = job.jdone <- true
+  | exception e -> (match err_of_exn e with Some r -> `Done r | None -> raise e)

@@ -1,13 +1,19 @@
 (** The bisad request engine: typed {!Bisa_proto.Proto.request} values in,
     typed responses out, against a content-addressed artifact cache.
 
-    Three exactly-once cache layers (the Harness memo-cell discipline),
-    all keyed by content, never by name: compiled MiniC by source hash;
-    prepared {!Bisa_timing.Pipeline.S.Artifact} bundles by
-    (program hash, exec backend); finished results by program hash x
+    Three cache layers, each a {!Bisa_base.Memo} (exactly-once fill; a
+    failure is never cached), all keyed by content, never by name:
+    compiled MiniC by source hash; prepared
+    {!Bisa_timing.Pipeline.S.Artifact} bundles by (program hash, exec
+    backend); finished results by program hash x
     {!Bisa_timing.Config.fingerprint} x exec backend x request shape.
     Trust is decided once, at artifact preparation — replays are pure,
     which is what makes the result cache sound.
+
+    One compute path: a [Simulate] or [Cell] miss is a suspended run,
+    which {!handle} finishes at once and the server loop advances in
+    bounded slices ({!start}, {!step_job}).  Both render the same
+    bytes.
 
     With a spool directory, every finished result is also written to disk
     through {!Bisa_base.Atomic_file}, and reloaded on the next [create]:
@@ -27,24 +33,29 @@ val create :
     unreadable entries are skipped, counted in {!stats}'s
     [spool_skipped], and each reported once through [log] (default:
     silently dropped).  [result_cap] (default 4096) bounds the in-memory
-    result cache; eviction is insertion-order FIFO, and evicted entries
+    result cache; eviction is FIFO in fill order, and evicted entries
     remain on the spool. *)
 
 val handle : t -> Bisa_proto.Proto.request -> Bisa_proto.Proto.response
 (** Serve one request.  Never raises: every failure — compile error,
     malformed binary, verification rejection, runaway, bad workload
-    name — returns [Err diags].  [Batch] shards across the pool with
-    submission-order results, so batch responses are byte-identical at
-    every worker count.  [Shutdown] returns [Bye]; acting on it is the
-    server loop's job. *)
+    name — returns [Err diags] and caches nothing.  A [Simulate] or
+    [Cell] miss builds the same run {!start} would and finishes it
+    inside the result memo, so identical concurrent requests compute
+    once.  [Batch] shards across the pool with submission-order
+    results, so batch responses are byte-identical at every worker
+    count.  [Shutdown] returns [Bye]; acting on it is the server loop's
+    job. *)
 
 (** {1 Sliced jobs}
 
     The cooperative form of [Simulate] and [Cell]: the server loop
     advances a suspended simulation in bounded operation slices between
     select rounds, so one paper-scale request never monopolizes the
-    daemon.  Sealed jobs land in the same result cache and render the
-    same bytes as {!handle} would have. *)
+    daemon.  A job is the very run {!handle} would finish at once:
+    sealed jobs land in the same result cache and render the same
+    bytes.  Abandoning a job is just dropping it; it holds no lock,
+    cache entry or spool state. *)
 
 type job
 
@@ -63,13 +74,6 @@ val step_job : job -> slice_ops:int -> [ `More | `Done of Bisa_proto.Proto.respo
     op-budget runaway, a machine trap) seals the job with a structured
     [Err] and caches nothing.  Never raises; must not be called again
     after [`Done]. *)
-
-val abort_job : job -> unit
-(** Abandon a job (last waiter gone): drops the suspended session.  No
-    cache or spool state exists to clean up. *)
-
-val job_key : job -> string
-(** The result-cache key — identical requests in flight share one job. *)
 
 val job_ops : job -> int
 (** Dynamic operations retired so far, for deadline-expiry reporting. *)

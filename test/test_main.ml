@@ -5,6 +5,7 @@ let () =
     [
       ("base", Test_base.suite);
       ("pool", Test_pool.suite);
+      ("memo", Test_memo.suite);
       ("isa", Test_isa.suite);
       ("encode", Test_encode.suite);
       ("frontend", Test_frontend.suite);

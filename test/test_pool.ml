@@ -1,9 +1,10 @@
 (* The worker pool and everything built on it: ordering, exception
-   propagation, nested submission, sequential equivalence, once-cells,
-   the harness memo's exactly-once locking, and -j1/-j4 output
-   determinism on reduced experiment grids. *)
+   propagation, nested submission, sequential equivalence, a memo entry
+   forced once from many workers, the harness memo's exactly-once
+   locking, and -j1/-j4 output determinism on reduced experiment grids. *)
 
 module Pool = Bisa_base.Pool
+module Memo = Bisa_base.Memo
 module Harness = Bisa_experiments.Harness
 
 (* Burn a little CPU so items finish out of submission order: later
@@ -82,29 +83,25 @@ let test_sequential_pool_is_direct_execution () =
   Pool.await fut
 
 (* Regression for the bench harness bug: a plain [lazy] forced from
-   several domains is unsafe; Pool.Once must evaluate exactly once and
-   give everyone the same value. *)
+   several domains is unsafe.  One memo key is the domain-safe once-cell:
+   16 requests from 4 workers must compute it exactly once and all see
+   the same value. *)
 let test_once_concurrent_force () =
   Pool.run ~workers:4 @@ fun pool ->
+  let m = Memo.create () in
   let evals = Atomic.make 0 in
-  let cell =
-    Pool.Once.make (fun () ->
-        Atomic.incr evals;
-        ignore (busy 100_000);
-        Atomic.get evals)
+  let got =
+    Pool.map_list pool
+      (fun _ ->
+        Memo.find_or_compute m "k" (fun () ->
+            Atomic.incr evals;
+            (* Long enough for the other domains to find the entry busy. *)
+            Unix.sleepf 0.05;
+            Atomic.get evals))
+      (List.init 16 Fun.id)
   in
-  let got = Pool.map_list pool (fun _ -> Pool.Once.force cell) (List.init 16 Fun.id) in
-  Alcotest.(check int) "thunk evaluated exactly once" 1 (Atomic.get evals);
-  List.iter (fun v -> Alcotest.(check int) "all forcers see the same value" 1 v) got
-
-let test_once_poisoning () =
-  let cell = Pool.Once.make (fun () -> failwith "poisoned") in
-  (match Pool.Once.force cell with
-  | _ -> Alcotest.fail "force did not raise"
-  | exception Failure _ -> ());
-  match Pool.Once.force cell with
-  | _ -> Alcotest.fail "second force did not re-raise"
-  | exception Failure m -> Alcotest.(check string) "poisoned for later forcers" "poisoned" m
+  Alcotest.(check int) "computed exactly once" 1 (Atomic.get evals);
+  List.iter (fun v -> Alcotest.(check int) "every requester sees the same value" 1 v) got
 
 (* N domains requesting the same (benchmark, config) cell: the harness
    memo must compile and simulate exactly once, and every requester must
@@ -129,14 +126,8 @@ let test_harness_memo_computes_once () =
   | [] -> Alcotest.fail "no results");
   let sorted = List.sort compare !computes in
   Alcotest.(check (list string))
-    "one artifact, one compile, one threaded-code compile, one predecode, one run"
-    [
-      "artifact:m88ksim/conv";
-      "compile-exec:m88ksim/conv";
-      "compile:m88ksim";
-      "predecode:m88ksim/conv";
-      "run:m88ksim/conv";
-    ]
+    "one artifact, one compile, one run"
+    [ "artifact:m88ksim/conv"; "compile:m88ksim"; "run:m88ksim/conv" ]
     sorted
 
 (* Byte-identical reports at every worker count, on reduced grids (the
@@ -191,7 +182,6 @@ let suite =
       test_sequential_pool_is_direct_execution;
     Alcotest.test_case "once: concurrent force evaluates once" `Quick
       test_once_concurrent_force;
-    Alcotest.test_case "once: exception poisons the cell" `Quick test_once_poisoning;
     Alcotest.test_case "harness memo computes each cell once" `Slow
       test_harness_memo_computes_once;
     Alcotest.test_case "reports byte-identical at -j1/-j4" `Slow

@@ -1,8 +1,8 @@
-(* Serving-layer tests: the wire codec's failure contract, and the
-   engine's headline guarantee — a cache-hit response is byte-identical
-   to the cold-start response and to the one-shot CLI's rendering, at
-   every worker count, across evictions, and across a restart from the
-   spool. *)
+(* Serving-layer tests: the wire codec's failure contract, the engine's
+   headline guarantee — a cache-hit response is byte-identical to the
+   cold-start response and to the one-shot CLI's rendering, at every
+   worker count, across evictions, and across a restart from the spool —
+   and its one compute path: sliced jobs and [handle] agree. *)
 
 module Proto = Bisa_proto.Proto
 module Engine = Bisa_serve.Engine
@@ -14,16 +14,10 @@ let src = "int main() { int i; int s = 0; for (i = 0; i < 40; i = i + 1) { s = s
 let src2 = "int main() { print_int(7); return 7; }"
 let src3 = "int main() { print_int(11); return 11; }"
 
-let sim ?(s = src) ?(isa = Proto.Block) ?(mode = Proto.Timing) () =
+let sim ?(s = src) ?(isa = Proto.Block) ?(mode = Proto.Timing)
+    ?(exec = Bisa_sim.Compile.Interp) ?(cfg = Proto.default_sim_cfg) () =
   Proto.Simulate
-    {
-      src = Proto.Source { src = s; libs = [] };
-      isa;
-      mode;
-      exec = Bisa_sim.Compile.Interp;
-      cfg = Proto.default_sim_cfg;
-      show_output = true;
-    }
+    { src = Proto.Source { src = s; libs = [] }; isa; mode; exec; cfg; show_output = true }
 
 let sim_payload = function
   | Proto.Sim { stdout; cached; _ } -> (stdout, cached)
@@ -221,6 +215,97 @@ let test_errors_are_structured () =
   | Proto.Err (_ :: _) -> ()
   | _ -> Alcotest.fail "bad workload must yield Err"
 
+(* --- one compute path: sliced jobs and handle agree --------------------- *)
+
+(* Long enough (tens of thousands of ops) to take many 1000-op slices. *)
+let long_src k =
+  Printf.sprintf
+    "int main() { int i; int s = %d; for (i = 0; i < 4000; i = i + 1) { s = s + (i ^ (s >> 3)); } print_int(s); return s & 255; }"
+    k
+
+(* Drive a request the server loop's way: [start], then 1000-op slices
+   to completion.  Returns the response and the number of slices. *)
+let drive e req =
+  match Engine.start e req with
+  | Engine.Done r -> (r, 0)
+  | Engine.Job j ->
+    let rec go n =
+      match Engine.step_job j ~slice_ops:1000 with
+      | `More -> go (n + 1)
+      | `Done r -> (r, n + 1)
+    in
+    go 0
+
+(* Everything but the process-wide peak RSS. *)
+let counters e = { (Engine.stats e) with Proto.rss_kb = 0 }
+
+let cell isa =
+  Proto.Cell
+    {
+      bench = "compress";
+      scale = Some 1;
+      isa;
+      exec = Bisa_sim.Compile.Compiled;
+      cfg = Proto.default_sim_cfg;
+    }
+
+(* Each request shape, sliced on one engine and handled whole on a fresh
+   one: the same bytes and the same counters, cold and warm. *)
+let test_sliced_equals_handle () =
+  let compiled = Bisa_sim.Compile.Compiled in
+  List.iter
+    (fun (what, req) ->
+      let a = Engine.create () and b = Engine.create () in
+      let sliced, slices = drive a req in
+      let whole = Engine.handle b req in
+      Alcotest.(check bool) (what ^ ": took several slices") true (slices > 1);
+      Alcotest.(check string) (what ^ ": cold bytes")
+        (Proto.encode_response whole) (Proto.encode_response sliced);
+      Alcotest.(check bool) (what ^ ": cold counters") true (counters a = counters b);
+      let sliced, _ = drive a req in
+      let whole = Engine.handle b req in
+      Alcotest.(check string) (what ^ ": warm bytes")
+        (Proto.encode_response whole) (Proto.encode_response sliced);
+      Alcotest.(check bool) (what ^ ": warm counters") true (counters a = counters b))
+    [
+      ("timing conv", sim ~s:(long_src 0) ~isa:Proto.Conv ~exec:compiled ());
+      ("timing block", sim ~s:(long_src 0) ~isa:Proto.Block ~exec:compiled ());
+      ("functional", sim ~s:(long_src 0) ~mode:Proto.Functional ~exec:compiled ());
+      ("cell", cell Proto.Block);
+    ]
+
+(* A runaway is the same structured Err on both paths, and neither
+   caches anything. *)
+let test_runaway_both_paths () =
+  let cfg = { Proto.default_sim_cfg with budget = 5000 } in
+  List.iter
+    (fun (what, mode) ->
+      let req = sim ~s:(long_src 0) ~mode ~exec:Bisa_sim.Compile.Compiled ~cfg () in
+      let a = Engine.create () and b = Engine.create () in
+      let sliced, _ = drive a req in
+      let whole = Engine.handle b req in
+      (match whole with
+      | Proto.Err (_ :: _) -> ()
+      | _ -> Alcotest.failf "%s: a runaway must yield Err" what);
+      Alcotest.(check string) (what ^ ": same Err")
+        (Proto.encode_response whole) (Proto.encode_response sliced);
+      Alcotest.(check int) (what ^ ": sliced caches nothing") 0 (counters a).Proto.results;
+      Alcotest.(check int) (what ^ ": handle caches nothing") 0 (counters b).Proto.results;
+      Alcotest.(check bool) (what ^ ": same counters") true (counters a = counters b))
+    [ ("timing", Proto.Timing); ("functional", Proto.Functional) ]
+
+(* Regression: a failed computation used to stay in [handle]'s result
+   table for good, never evicted by [result_cap] and never freed. *)
+let test_failures_not_retained () =
+  let e = Engine.create ~result_cap:4 () in
+  let cfg = { Proto.default_sim_cfg with budget = 1000 } in
+  for k = 1 to 50 do
+    match Engine.handle e (sim ~s:(long_src k) ~mode:Proto.Functional ~cfg ()) with
+    | Proto.Err _ -> ()
+    | _ -> Alcotest.fail "a runaway must yield Err"
+  done;
+  Alcotest.(check int) "no failed result retained" 0 (Engine.stats e).Proto.results
+
 (* --- the retrying client's schedule: pure, published, pinned --------------
 
    (The checks that need a live forked server — liveness under load,
@@ -305,6 +390,10 @@ let suite =
     Alcotest.test_case "spool reload" `Quick test_spool_reload;
     Alcotest.test_case "eviction keeps spool" `Quick test_eviction;
     Alcotest.test_case "structured errors" `Quick test_errors_are_structured;
+    Alcotest.test_case "sliced job == handle, bytes and stats" `Quick
+      test_sliced_equals_handle;
+    Alcotest.test_case "runaway: same Err on both paths" `Quick test_runaway_both_paths;
+    Alcotest.test_case "failed results are not retained" `Quick test_failures_not_retained;
     Alcotest.test_case "retry backoff schedule is deterministic" `Quick
       test_backoff_schedule;
     Alcotest.test_case "spool damage is counted and logged" `Quick
