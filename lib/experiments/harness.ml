@@ -37,8 +37,6 @@ let chunks n xs =
   in
   go xs
 
-type cache_key = (int * int * int) option * Config.predictor
-
 type t = {
   scale : int option;
   campaign : Campaign.t option;
@@ -46,7 +44,9 @@ type t = {
   sweep : (string * Cache.config) list;
   pool : Pool.t;
   compiled_cache : (string, Bisa_compiler.Compiler.compiled) Memo.t;
-  run_cache : (string * string * cache_key, Bisa_timing.Metrics.t) Memo.t;
+  (* Keyed by workload, ISA and [Config.fingerprint]: configurations that
+     differ in any timing field are distinct cells. *)
+  run_cache : (string * string * int64, Bisa_timing.Metrics.t) Memo.t;
   (* Prepared artifacts (verified program + predecode tables + threaded
      code + content hash): one per program, shared by every grid
      configuration and worker domain that simulates it, so preparation —
@@ -119,12 +119,8 @@ let artifact_block t (w : Workloads.t) =
     ~label:("artifact:" ^ w.name ^ "/" ^ Bisa_timing.Pipeline.Block.isa)
     ~compute:(fun () -> Bisa_timing.Pipeline.Block.prepare (compiled t w).block)
 
-let key_of (cfg : Config.t) : cache_key =
-  ( Option.map (fun (c : Cache.config) -> (c.size_bytes, c.assoc, c.line_bytes)) cfg.icache,
-    cfg.predictor )
-
 let run t (w : Workloads.t) (cfg : Config.t) ~isa ~f =
-  let key = (w.name, isa, key_of cfg) in
+  let key = (w.name, isa, Config.fingerprint cfg) in
   memoize t t.run_cache key
     ~label:(Printf.sprintf "run:%s/%s" w.name isa)
     ~compute:(fun () ->

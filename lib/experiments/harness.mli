@@ -76,8 +76,8 @@ val run_pipe :
   Bisa_timing.Config.t ->
   Bisa_timing.Metrics.t
 (** Timing run through any {!Bisa_timing.Pipeline.S} implementation,
-    memoized on (benchmark, [P.isa], icache, predictor).  [artifact]
-    supplies the prepared bundle (normally {!artifact_conv} /
+    memoized on (benchmark, [P.isa], {!Bisa_timing.Config.fingerprint}).
+    [artifact] supplies the prepared bundle (normally {!artifact_conv} /
     {!artifact_block}).  Safe to call concurrently from pool workers; a
     given cell compiles and simulates exactly once.  {!run_conv} and
     {!run_block} are its two standard instantiations. *)

@@ -1,11 +1,14 @@
 (* The bisad request engine: every request the daemon serves lands here,
    against a content-addressed artifact cache.
 
-   Three cache layers, each a Bisa_base.Memo (exactly-once under
+   Four cache layers, each a Bisa_base.Memo (exactly-once under
    concurrency: one requester computes, the rest block on the entry; a
    failure is never cached), all keyed by content, never by name:
 
      - compiled MiniC     keyed by the source hash
+     - program hashes     keyed by the program's origin (source hash, or
+                          a Cell's workload and scale) and ISA, so a
+                          result hit never re-encodes the program
      - prepared artifacts keyed by (program hash, exec backend) — the
                           Pipeline.Artifact bundle: verified witness,
                           predecode tables, optional threaded code
@@ -105,6 +108,7 @@ type t = {
   lock : Mutex.t;  (* guards the counters, never a computation *)
   compiled : (int64, Bisa_compiler.Compiler.compiled) Memo.t;
   bench_compiled : (string, Bisa_compiler.Compiler.compiled) Memo.t;
+  prog_hashes : (string, int64) Memo.t;
   conv_arts : (int64 * Bisa_sim.Compile.backend, Pipeline.Conv.artifact) Memo.t;
   block_arts : (int64 * Bisa_sim.Compile.backend, Pipeline.Block.artifact) Memo.t;
   results : (string, entry) Memo.t;
@@ -184,6 +188,7 @@ let create ?(pool = Pool.sequential) ?spool_dir ?(result_cap = 4096)
       lock = Mutex.create ();
       compiled = Memo.create ();
       bench_compiled = Memo.create ();
+      prog_hashes = Memo.create ();
       conv_arts = Memo.create ();
       block_arts = Memo.create ();
       results = Memo.create ~cap:result_cap ();
@@ -274,19 +279,28 @@ let block_prog t (src : Proto.prog_src) =
     Diag.fail ~component "this request needs a block-structured executable, got \
                           a conventional binary"
 
+(* A program's content hash, computed once per [origin] (where the
+   program came from) and ISA: a result-cache hit costs hashing the
+   request plus table lookups, never re-encoding the program.  [prog] is
+   forced only on the first request from an origin; a failure to load
+   it (a compile error, a malformed binary) is not cached. *)
+let prog_hash (type p a) t
+    (module P : Pipeline.S with type prog = p and type artifact = a) ~origin
+    (prog : p Lazy.t) =
+  Memo.find_or_compute t.prog_hashes (origin ^ "/" ^ P.isa) (fun () ->
+      P.prog_hash (Lazy.force prog))
+
 (* Artifact preparation is the trust boundary: [prepare] verifies, and
    the memo makes that a per-(program, backend) one-time event for every
    program that passes.  A rejection is not cached: a bad program costs
    one verification per request, and holds no memory afterwards. *)
-let conv_artifact t ~exec prog =
-  let h = Pipeline.Conv.prog_hash prog in
-  (h, Memo.find_or_compute t.conv_arts (h, exec) (fun () ->
-       Pipeline.Conv.prepare ~exec prog))
+let conv_artifact t ~exec ~prog_hash prog =
+  Memo.find_or_compute t.conv_arts (prog_hash, exec) (fun () ->
+      Pipeline.Conv.prepare ~exec prog)
 
-let block_artifact t ~exec prog =
-  let h = Pipeline.Block.prog_hash prog in
-  (h, Memo.find_or_compute t.block_arts (h, exec) (fun () ->
-       Pipeline.Block.prepare ~exec prog))
+let block_artifact t ~exec ~prog_hash prog =
+  Memo.find_or_compute t.block_arts (prog_hash, exec) (fun () ->
+      Pipeline.Block.prepare ~exec prog)
 
 (* --- verification ------------------------------------------------------- *)
 
@@ -458,12 +472,15 @@ let render_sim ~show_output ~cached ~prog_hash = function
 
 let plan_simulate (type p a) t
     (module P : Pipeline.S with type prog = p and type artifact = a)
-    ~(artifact : exec:Bisa_sim.Compile.backend -> p -> int64 * a)
-    ~(functional : p -> (module FUNC_EXEC)) (prog : p) ~mode ~exec
-    ~(cfg : Proto.sim_cfg) ~show_output =
+    ~(artifact : exec:Bisa_sim.Compile.backend -> prog_hash:int64 -> p -> a)
+    ~(functional : p -> (module FUNC_EXEC)) (src : Proto.prog_src)
+    (prog : p Lazy.t) ~mode ~exec ~(cfg : Proto.sim_cfg) ~show_output =
+  let prog_hash =
+    prog_hash t (module P) ~origin:(Printf.sprintf "src:%016Lx" (src_hash src)) prog
+  in
   let config = Proto.to_config cfg in
-  let prog_hash = P.prog_hash prog in
   let build () =
+    let prog = Lazy.force prog in
     match mode with
     | Proto.Functional ->
       (* The functional path has no artifact to hide behind, so
@@ -473,7 +490,7 @@ let plan_simulate (type p a) t
       functional_run (functional prog) ~exec ~budget:cfg.budget ~out_cap:cfg.out_cap
         ~prog_hash
     | Proto.Timing ->
-      let _, art = artifact ~exec prog in
+      let art = artifact ~exec ~prog_hash prog in
       timing_run t (module P) ~config ~out_cap:cfg.out_cap art ~seal:(fun (m, out) ->
           {
             prog_hash;
@@ -507,15 +524,17 @@ let plan_cell t ~bench ~scale ~isa ~exec ~(cfg : Proto.sim_cfg) =
   in
   let what = bench_key ~bench ~scale in
   let compiled =
-    Memo.find_or_compute t.bench_compiled what (fun () ->
-        match scale with
-        | Some scale -> Bisa_workloads.Workloads.compile ~scale w
-        | None -> Bisa_workloads.Workloads.compile w)
+    lazy
+      (Memo.find_or_compute t.bench_compiled what (fun () ->
+           match scale with
+           | Some scale -> Bisa_workloads.Workloads.compile ~scale w
+           | None -> Bisa_workloads.Workloads.compile w))
   in
   let config = Proto.to_config cfg in
   let plan (type p a) (module P : Pipeline.S with type prog = p and type artifact = a)
-      ~(artifact : exec:Bisa_sim.Compile.backend -> p -> int64 * a) (prog : p) =
-    let prog_hash, art = artifact ~exec prog in
+      ~(artifact : exec:Bisa_sim.Compile.backend -> prog_hash:int64 -> p -> a)
+      (prog : p Lazy.t) =
+    let prog_hash = prog_hash t (module P) ~origin:("cell:" ^ what) prog in
     {
       key =
         sim_key ~what ~isa:P.isa ~prog_hash ~cfg:config ~exec ~mode:Proto.Timing
@@ -529,6 +548,7 @@ let plan_cell t ~bench ~scale ~isa ~exec ~(cfg : Proto.sim_cfg) =
             Diag.fail ~component "cell cache entry has a simulate payload (key clash)");
       build =
         (fun () ->
+          let art = artifact ~exec ~prog_hash (Lazy.force prog) in
           timing_run t (module P) ~config ~out_cap:cfg.out_cap art ~seal:(fun (m, _out) ->
               {
                 prog_hash;
@@ -538,21 +558,24 @@ let plan_cell t ~bench ~scale ~isa ~exec ~(cfg : Proto.sim_cfg) =
     }
   in
   match isa with
-  | Proto.Conv -> plan (module Pipeline.Conv) ~artifact:(conv_artifact t) compiled.conv
-  | Proto.Block -> plan (module Pipeline.Block) ~artifact:(block_artifact t) compiled.block
+  | Proto.Conv ->
+    plan (module Pipeline.Conv) ~artifact:(conv_artifact t) (lazy (Lazy.force compiled).conv)
+  | Proto.Block ->
+    plan (module Pipeline.Block) ~artifact:(block_artifact t)
+      (lazy (Lazy.force compiled).block)
 
 let plan t (req : Proto.request) =
   match req with
   | Proto.Simulate { src; isa = Proto.Conv; mode; exec; cfg; show_output } ->
     plan_simulate t
       (module Pipeline.Conv)
-      ~artifact:(conv_artifact t) ~functional:func_conv (conv_prog t src) ~mode ~exec
-      ~cfg ~show_output
+      ~artifact:(conv_artifact t) ~functional:func_conv src
+      (lazy (conv_prog t src)) ~mode ~exec ~cfg ~show_output
   | Proto.Simulate { src; isa = Proto.Block; mode; exec; cfg; show_output } ->
     plan_simulate t
       (module Pipeline.Block)
-      ~artifact:(block_artifact t) ~functional:func_block (block_prog t src) ~mode
-      ~exec ~cfg ~show_output
+      ~artifact:(block_artifact t) ~functional:func_block src
+      (lazy (block_prog t src)) ~mode ~exec ~cfg ~show_output
   | Proto.Cell { bench; scale; isa; exec; cfg } -> plan_cell t ~bench ~scale ~isa ~exec ~cfg
   | _ -> invalid_arg "Engine.plan: not a Simulate or Cell request"
 

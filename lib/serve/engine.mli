@@ -1,9 +1,11 @@
 (** The bisad request engine: typed {!Bisa_proto.Proto.request} values in,
     typed responses out, against a content-addressed artifact cache.
 
-    Three cache layers, each a {!Bisa_base.Memo} (exactly-once fill; a
+    Four cache layers, each a {!Bisa_base.Memo} (exactly-once fill; a
     failure is never cached), all keyed by content, never by name:
-    compiled MiniC by source hash; prepared
+    compiled MiniC by source hash; program hashes by the program's
+    origin (source hash, or a [Cell]'s workload and scale) and ISA, so a
+    result hit never re-encodes the program; prepared
     {!Bisa_timing.Pipeline.S.Artifact} bundles by (program hash, exec
     backend); finished results by program hash x
     {!Bisa_timing.Config.fingerprint} x exec backend x request shape.

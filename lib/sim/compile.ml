@@ -569,8 +569,8 @@ module Block = struct
       end
     end
 
-  (* Zero-allocation stepping for the timing pipelines' fast path:
-     mirrors [step] state transition for state transition, but the
+  (* Zero-allocation stepping, the block pipeline's drain: mirrors
+     [step] state transition for state transition, but the
      epilogue lands in [r_block]/[r_ops]/[dir] and the reusable scratch
      address array instead of a fresh step record.  Returns [-1] where
      [step] returns [None], [0] for a committed block, [1] for a fault
@@ -1674,8 +1674,8 @@ module Conv = struct
           }
     end
 
-  (* Zero-allocation stepping for the conventional pipeline's fast path:
-     mirrors [step] exactly, but the packet lands in the binding's
+  (* Zero-allocation stepping, the conventional pipeline's drain: mirrors
+     [step] exactly, but the packet lands in the binding's
      mutable fields ([last_start], [count], [term], [next]) and the
      scratch address array is handed out directly instead of being copied
      into a fresh packet record.  Returns [false] exactly where [step]

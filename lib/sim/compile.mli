@@ -66,9 +66,9 @@ module Block : sig
       same traps, same exceptions, same state evolution. *)
 
   val step_into : fetch:int -> t -> int
-  (** Zero-allocation [step] for the timing pipelines' fast path: the
-      same state evolution, but the step lands in mutable fields read
-      through the [last_*] accessors instead of a fresh record.  Returns
+  (** Zero-allocation [step], the block pipeline's drain: the same state
+      evolution, but the step lands in mutable fields read through the
+      [last_*] accessors instead of a fresh record.  Returns
       [-1] exactly where [step] returns [None], [0] for a committed
       block, [1] for a fault squash.  Results are valid until the next
       call; [last_addrs] slots of non-memory ops carry stale values, so
@@ -108,10 +108,11 @@ module Conv : sig
       packets across steps). *)
 
   val step_into : t -> bool
-  (** Zero-allocation [step] for the conventional pipeline's fast path:
-      the same state evolution, but the packet lands in mutable fields
-      read through the [last_*] accessors instead of a fresh record.
-      Returns [false] exactly where [step] returns [None].  Results —
+  (** Zero-allocation [step], the conventional pipeline's drain when it
+      has no trace cache and no buffered packet: the same state
+      evolution, but the packet lands in mutable fields read through the
+      [last_*] accessors instead of a fresh record.  Returns [false]
+      exactly where [step] returns [None].  Results —
       including the scratch [last_addrs] array — are only valid until
       the next call. *)
 

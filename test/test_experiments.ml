@@ -30,7 +30,13 @@ let test_harness_caching () =
   let m2 = Harness.run_conv h w cfg in
   let t2 = Unix.gettimeofday () in
   Alcotest.(check bool) "same object" true (m1 == m2);
-  Alcotest.(check bool) "cached run is instant" true (t2 -. t1 < (t1 -. t0) /. 10.0 +. 0.01)
+  Alcotest.(check bool) "cached run is instant" true (t2 -. t1 < (t1 -. t0) /. 10.0 +. 0.01);
+  (* Configurations that differ in any timing field are distinct cells,
+     not only those that differ in icache or predictor. *)
+  let slow = { cfg with Bisa_timing.Config.redirect_penalty = cfg.redirect_penalty + 8 } in
+  let m3 = Harness.run_conv h w slow in
+  Alcotest.(check bool) "redirect penalty is a distinct cell" false (m3 == m1);
+  Alcotest.(check bool) "redirect penalty costs cycles" true (m3.cycles > m1.cycles)
 
 let test_headline_direction () =
   (* m88ksim is the paper's biggest winner; even at scale 1 the

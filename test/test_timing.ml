@@ -198,21 +198,20 @@ let test_metrics_mean_block_size () =
   Alcotest.(check bool) "conv blocks small" true (szc > 2.0 && szc < 16.0);
   Alcotest.(check bool) "enlargement grew blocks" true (szb > szc)
 
-(* --- Fast-path equivalence and allocation discipline ------------------------- *)
+(* --- Observation/injection equivalence and allocation discipline ------------ *)
 
-(* The pipelines hoist probe/injector dispatch to session creation: a null
-   probe selects a specialized step with the tests compiled out.  A live
+let mbytes m =
+  let w = Bisa_base.Codec.W.create () in
+  Bisa_timing.Metrics.save m w;
+  Bisa_base.Codec.W.contents w
+
+(* Each pipeline step tests [tracing] before every probe call: a live
    probe (any non-null record) must therefore not change a single metric —
    only observe.  Checked for both executors on both pipelines. *)
 let test_probe_equivalence () =
   let c = Bisa_compiler.Compiler.compile sample in
-  let mbytes m =
-    let w = Bisa_base.Codec.W.create () in
-    Bisa_timing.Metrics.save m w;
-    Bisa_base.Codec.W.contents w
-  in
   let check name run =
-    let fast = run Bisa_obs.Probe.null in
+    let bare = run Bisa_obs.Probe.null in
     let fired = ref 0 in
     let probe =
       {
@@ -220,11 +219,11 @@ let test_probe_equivalence () =
         unit_start = (fun ~cycle:_ ~addr:_ ~ops:_ -> incr fired);
       }
     in
-    let general = run probe in
+    let probed = run probe in
     Alcotest.(check bool) (name ^ ": probe observed units") true (!fired > 0);
     Alcotest.(check string)
-      (name ^ ": general path metrics == fast path")
-      (mbytes fast) (mbytes general)
+      (name ^ ": probed metrics == unprobed")
+      (mbytes bare) (mbytes probed)
   in
   let conv = interp_conv c.conv and block = interp_block c.block in
   check "conv interp" (fun probe -> time_conv ~probe Config.default conv);
@@ -232,6 +231,33 @@ let test_probe_equivalence () =
   let conv = P.Conv.prepare c.conv and block = P.Block.prepare c.block in
   check "conv compiled" (fun probe -> time_conv ~probe Config.default conv);
   check "block compiled" (fun probe -> time_block ~probe Config.default block)
+
+(* The compiled executor is drained in place ([step_into]) while the
+   code-less reference leg steps records, injected or not: with the same
+   chaos seed both legs must roll the same injections in the same order
+   and produce byte-identical metrics, on both pipelines (conventional
+   with and without the trace cache, whose corruption hook rolls last). *)
+let test_injected_legs_agree () =
+  let c = Bisa_compiler.Compiler.compile sample in
+  let check name run cfg ~compiled ~reference =
+    let go art =
+      let inj = Bisa_uarch.Inject.chaos ~seed:11 in
+      let m = run (Config.with_inject (Some inj) cfg) art in
+      (mbytes m, Bisa_uarch.Inject.injected inj)
+    in
+    let mc, nc = go compiled and mr, nr = go reference in
+    Alcotest.(check bool) (name ^ ": injections fired") true (nc > 0);
+    Alcotest.(check int) (name ^ ": same injections") nr nc;
+    Alcotest.(check string) (name ^ ": compiled metrics == reference") mr mc
+  in
+  let conv = P.Conv.prepare c.conv and conv_ref = interp_conv c.conv in
+  let tc =
+    { Config.default with trace_cache = Some Bisa_uarch.Trace_cache.default_config }
+  in
+  check "conv" time_conv Config.default ~compiled:conv ~reference:conv_ref;
+  check "conv tc" time_conv tc ~compiled:conv ~reference:conv_ref;
+  check "block" time_block Config.default ~compiled:(P.Block.prepare c.block)
+    ~reference:(interp_block c.block)
 
 (* A longer-running workload so the steady-state window is thousands of
    steps deep, far past predictor/cache warmup and table growth. *)
@@ -250,7 +276,7 @@ int main() {
 }
 |}
 
-(* The pre-scheduled template fast path must not allocate per step once
+(* The pre-scheduled template step must not allocate per step once
    warm: the conv drain is allocation-free, the block drain is bounded by
    a few words (output consing and BTB fills).  A regression to
    closure-per-step or record-per-step costs tens of words and fails
@@ -275,9 +301,9 @@ let test_steady_state_allocation () =
   in
   let cfg = Config.default in
   let conv = P.Conv.session_artifact cfg (P.Conv.prepare c.conv) in
-  words_per_step "conv fast step" conv P.Conv.step 2.0;
+  words_per_step "conv step" conv P.Conv.step 2.0;
   let block = P.Block.session_artifact cfg (P.Block.prepare c.block) in
-  words_per_step "block fast step" block P.Block.step 24.0
+  words_per_step "block step" block P.Block.step 24.0
 
 let suite =
   [
@@ -293,6 +319,8 @@ let suite =
     Alcotest.test_case "icache monotone" `Quick test_bigger_icache_not_slower;
     Alcotest.test_case "block sizes" `Quick test_metrics_mean_block_size;
     Alcotest.test_case "probe equivalence" `Quick test_probe_equivalence;
+    Alcotest.test_case "injected runs: compiled == reference" `Quick
+      test_injected_legs_agree;
     Alcotest.test_case "steady-state allocation" `Quick
       test_steady_state_allocation;
   ]
